@@ -9,6 +9,8 @@ conventional values for this radio parameter set, not prescribed ones.
 
 from __future__ import annotations
 
+import math
+
 from .protocols import ProtocolKind
 from .radio import RadioParams
 from .sim import SimConfig
@@ -29,7 +31,7 @@ def _parse_protocol(text: str) -> ProtocolKind:
 def _positive(kind, name):
     def convert(text: str):
         value = kind(text)
-        if value <= 0:
+        if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be positive, got {value}")
         return value
     return convert

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class GeometryError(ValueError):
     pass
@@ -214,3 +216,24 @@ def cr_neighbor_ncrs(region_id: int, fp: FieldPartition) -> list[int]:
     base = _ring_base_id(region.ring)
     corner = CR_CORNERS[region_id - base - 4]
     return sorted(base + s for s in _CORNER_TO_SIDES[corner])
+
+
+def distance_matrix(points: list[Point]) -> np.ndarray:
+    """N x N matrix of `Point.distance_to` values (the same `math.hypot`
+    floats), built one row at a time so that no N^2 Python floats exist."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    out = np.empty((len(points), len(points)))
+    for i, p in enumerate(points):
+        out[i] = [math.hypot(p.x - x, p.y - y) for x, y in zip(xs, ys)]
+    return out
+
+
+def squared_distance_matrix(points: list[Point]) -> np.ndarray:
+    """N x N matrix of squared distances with numpy arithmetic, dx*dx + dy*dy:
+    the values LEACH-C's greedy placement compares."""
+    pos = np.array([(p.x, p.y) for p in points])
+    out = np.empty((len(points), len(points)))
+    for i in range(len(points)):
+        out[i] = ((pos[i] - pos) ** 2).sum(axis=1)
+    return out

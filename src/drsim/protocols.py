@@ -4,6 +4,11 @@ LEACH / LEACH-C baselines.
 All planners map an alive-node snapshot and a 1-based round index to a
 RoundPlan: who is CH, who sends to whom, and where each CH forwards.
 A destination of ``None`` means the base station.
+
+The `*Planner` classes give the same plans from tables built once per run
+(rosters, region maps, distance matrices) over flat per-node energy and
+alive lists, as `IndexPlan` index lists with `BS` for the base station.
+`sim.run` uses them; the `*_build_plan` functions are their reference.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,7 +25,9 @@ from .geometry import (
     Point,
     RegionKind,
     cr_neighbor_ncrs,
+    distance_matrix,
     inward_adjacent_ncr,
+    squared_distance_matrix,
 )
 
 # Corner nodes equidistant from two candidates within this tolerance are
@@ -185,6 +192,12 @@ def leach_build_plan(nodes: list[Node], round_index: int, state: LeachState) -> 
     return RoundPlan(round_index, {}, memberships, {ch_id: None for ch_id in ch_ids})
 
 
+def _above_mean(energies: np.ndarray) -> np.ndarray:
+    """Indices of the energies at or above their mean. The computed mean of
+    equal values can round above all of them; the maximum always qualifies."""
+    return np.flatnonzero(energies >= min(energies.mean(), energies.max()))
+
+
 def leach_c_build_plan(nodes: list[Node], round_index: int, p: float) -> RoundPlan:
     """Centralized baseline: the BS picks k = max(1, round(p * alive)) CHs
     from the above-mean-energy candidates by greedy facility selection on
@@ -199,7 +212,7 @@ def leach_c_build_plan(nodes: list[Node], round_index: int, p: float) -> RoundPl
     energies = np.array([nd.energy for nd in alive])
     d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
 
-    candidates = np.flatnonzero(energies >= energies.mean())
+    candidates = _above_mean(energies)
     k = min(max(1, round(p * len(alive))), len(candidates))
 
     chosen: list[int] = []
@@ -220,3 +233,145 @@ def leach_c_build_plan(nodes: list[Node], round_index: int, p: float) -> RoundPl
         memberships[node.id] = alive[nearest].id
 
     return RoundPlan(round_index, {}, memberships, {ch_id: None for ch_id in ch_ids})
+
+
+BS = -1     # destination of an IndexPlan link that goes to the base station
+
+
+class IndexPlan(NamedTuple):
+    """A RoundPlan as index lists, in the order the energy is charged."""
+    members: list[int]      # senders, in node-id order
+    dests: list[int]        # each sender's CH id, or BS
+    chs: list[int]          # CH ids, in RoundPlan.ch_next_hop order
+    next_hops: list[int]    # each CH's next-hop CH id, or BS
+
+
+class DrPlanner:
+    """`dr_build_plan` from the run's static DR tables."""
+
+    def __init__(self, fp: FieldPartition, nodes: list[Node], bs_distance: list[float]):
+        self.xs = [nd.pos.x for nd in nodes]
+        self.ys = [nd.pos.y for nd in nodes]
+        self.bs_distance = bs_distance
+        self.region = [nd.region for nd in nodes]
+        self.kind = [fp.region(nd.region).kind for nd in nodes]
+        # (NCR id, node ids by rank), in the order dr_select_chs visits them
+        self.rosters = [(rid, [nd.id for nd in roster])
+                        for rid, roster in _region_rosters(fp, nodes).items()]
+        # NCR id -> the NCR its CH forwards to; ring 1 maps to the central
+        # region, which never has a CH, so those CHs send to the BS.
+        self.inward = {rid: inward_adjacent_ncr(rid, fp) for rid, _ in self.rosters}
+        self.corner_ncrs = {r.id: cr_neighbor_ncrs(r.id, fp) for r in fp.regions
+                            if r.kind is RegionKind.CORNER}
+
+    def plan(self, round_index: int, alive_ids: list[int], alive: list[bool],
+             energy: list[float]) -> IndexPlan:
+        chs: dict[int, int] = {}
+        for rid, roster in self.rosters:
+            start = (round_index - 1) % len(roster)
+            for node_id in roster[start:] + roster[:start]:
+                if alive[node_id]:
+                    chs[rid] = node_id
+                    break
+
+        members, dests = [], []
+        for i in alive_ids:
+            kind = self.kind[i]
+            if kind is RegionKind.CENTRAL:
+                dest = BS
+            elif kind is RegionKind.NON_CORNER:
+                dest = chs[self.region[i]]
+                if dest == i:
+                    continue
+            else:
+                dest = self._corner_destination(i, chs, energy)
+            members.append(i)
+            dests.append(dest)
+
+        next_hops = [chs.get(self.inward[rid], BS) for rid in chs]
+        return IndexPlan(members, dests, list(chs.values()), next_hops)
+
+    def _corner_destination(self, i: int, chs: dict[int, int],
+                            energy: list[float]) -> int:
+        """`_corner_destination` with BS for None, which sorts the same."""
+        candidates = [(self.bs_distance[i], BS, math.inf)]
+        for ncr_id in self.corner_ncrs[self.region[i]]:
+            ch = chs.get(ncr_id)
+            if ch is not None:
+                distance = math.hypot(self.xs[i] - self.xs[ch], self.ys[i] - self.ys[ch])
+                candidates.append((distance, ch, energy[ch]))
+        best_dist = min(dist for dist, _, _ in candidates)
+        tied = [c for c in candidates if c[0] <= best_dist + DISTANCE_TIE_EPS]
+        tied.sort(key=lambda c: (-c[2], c[1]))
+        return tied[0][1]
+
+
+class LeachPlanner:
+    """`leach_build_plan` from the run's distance matrix."""
+
+    def __init__(self, nodes: list[Node], state: LeachState):
+        self.state = state
+        self.distance = distance_matrix([nd.pos for nd in nodes])
+        self.last_elected = [-1] * len(nodes)
+
+    def plan(self, round_index: int, alive_ids: list[int], alive: list[bool],
+             energy: list[float]) -> IndexPlan:
+        p = self.state.p
+        epoch = int(1 / p)
+        threshold = p / (1 - p * (round_index % epoch))
+        epoch_start = (round_index // epoch) * epoch
+
+        last = self.last_elected
+        eligible = [i for i in alive_ids if last[i] < epoch_start]
+        # One draw per eligible node in id order, as leach_build_plan makes.
+        draws = self.state.rng.random(len(eligible)).tolist()
+        chs = [i for i, u in zip(eligible, draws) if u < threshold]
+        for i in chs:
+            last[i] = round_index
+
+        ch_ids = {i for i in chs}   # built as leach_build_plan's, so same order
+        members = [i for i in alive_ids if i not in ch_ids]
+        if not chs or not members:
+            dests = [BS] * len(members)
+        else:
+            # chs is id-sorted, so argmin takes the lowest id among ties.
+            nearest = self.distance[np.ix_(members, chs)].argmin(axis=1)
+            dests = np.array(chs)[nearest].tolist()
+        return IndexPlan(members, dests, list(ch_ids), [BS] * len(ch_ids))
+
+
+class LeachCPlanner:
+    """`leach_c_build_plan` from the run's squared-distance matrix."""
+
+    def __init__(self, nodes: list[Node], p: float):
+        self.p = p
+        self.d2 = squared_distance_matrix([nd.pos for nd in nodes])
+
+    def plan(self, round_index: int, alive_ids: list[int], alive: list[bool],
+             energy: list[float]) -> IndexPlan:
+        d2 = self.d2
+        if len(alive_ids) < len(d2):
+            d2 = d2[np.ix_(alive_ids, alive_ids)]
+        energies = np.array([energy[i] for i in alive_ids])
+
+        candidates = _above_mean(energies)
+        k = min(max(1, round(self.p * len(alive_ids))), len(candidates))
+        chosen: list[int] = []
+        cost = np.full(len(alive_ids), np.inf)
+        remaining = candidates
+        for _ in range(k):
+            totals = np.minimum(cost[None, :], d2[remaining]).sum(axis=1)
+            j = int(np.argmin(totals))  # ties: lowest node id
+            chosen.append(int(remaining[j]))
+            cost = np.minimum(cost, d2[chosen[-1]])
+            remaining = np.delete(remaining, j)
+
+        ch_ids = {alive_ids[c] for c in chosen}   # as leach_c_build_plan's
+        local = [c for c in range(len(alive_ids)) if alive_ids[c] not in ch_ids]
+        members = [alive_ids[c] for c in local]
+        dests = []
+        if local:
+            columns = sorted(chosen)
+            nearest = d2[np.ix_(local, columns)].argmin(axis=1)  # ties: lowest id
+            dests = [alive_ids[columns[c]] for c in nearest.tolist()]
+        return IndexPlan(members, dests, list(ch_ids), [BS] * len(ch_ids))

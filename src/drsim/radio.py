@@ -21,8 +21,9 @@ class RadioParams:
 
     def __post_init__(self):
         for name in ("e_elec", "e_fs", "e_mp", "e_da"):
-            if getattr(self, name) <= 0:
-                raise RadioError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise RadioError(f"{name} must be finite and strictly positive")
 
     @property
     def d0(self) -> float:

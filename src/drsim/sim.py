@@ -4,6 +4,7 @@ run / multi-seed experiment orchestration."""
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -13,6 +14,10 @@ import numpy as np
 from . import radio
 from .geometry import FieldPartition, Point, RegionKind, build_partition, locate
 from .protocols import (
+    BS,
+    DrPlanner,
+    LeachCPlanner,
+    LeachPlanner,
     LeachState,
     Node,
     ProtocolKind,
@@ -28,7 +33,6 @@ class SimConfig:
     field_length: float = 100.0
     n_rings: int = 3
     node_count: int = 100
-    bs_pos: Optional[Point] = None      # None = field center
     initial_energy: float = 0.5         # J per node
     packet_bits: int = 4000
     protocol: ProtocolKind = ProtocolKind.DR
@@ -43,22 +47,24 @@ class SimConfig:
             raise ValueError(f"node_count must be positive, got {self.node_count}")
         if self.max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
-        if self.initial_energy <= 0:
+        if not (math.isfinite(self.initial_energy) and self.initial_energy > 0):
             raise ValueError(f"initial_energy must be positive, got {self.initial_energy}")
-        if self.field_length <= 0:
+        if not (math.isfinite(self.field_length) and self.field_length > 0):
             raise ValueError(f"field_length must be positive, got {self.field_length}")
         if self.n_rings < 2:
             raise ValueError(f"n_rings must be at least 2, got {self.n_rings}")
         if self.packet_bits <= 0:
             raise ValueError(f"packet_bits must be positive, got {self.packet_bits}")
-        if not 0 < self.ch_probability < 1:
+        # LEACH's epoch is int(1 / p), which must exist.
+        if not (0 < self.ch_probability < 1
+                and math.isfinite(1 / self.ch_probability)):
             raise ValueError(
-                f"ch_probability must be in (0, 1), got {self.ch_probability}")
+                f"ch_probability must be in (0, 1) with a finite 1/p, "
+                f"got {self.ch_probability}")
 
     @property
     def bs(self) -> Point:
-        if self.bs_pos is not None:
-            return self.bs_pos
+        """The base station, at the field center."""
         return Point(self.field_length / 2.0, self.field_length / 2.0)
 
 
@@ -225,18 +231,93 @@ def summarize(config: SimConfig, series: list[RoundMetrics]) -> RunSummary:
 
 def run(config: SimConfig) -> tuple[list[RoundMetrics], RunSummary]:
     """One full simulation: deploy, then plan + account each round until all
-    nodes are dead or the round cap is reached."""
+    nodes are dead or the round cap is reached.
+
+    What cannot change after deployment (distances and transmit costs to
+    the BS, region maps, rosters, distance matrices) is built once, here
+    rather than in `make_state`. Rounds keep energy and alive status in flat
+    lists and plans as index lists. The series is exactly that of the loop
+    over `build_plan` and `run_round`, which stay as the reference: the same
+    distance and `radio` calls, draws and summation order.
+    """
     state = make_state(config)
+    series = _simulate(state)
+    return series, summarize(config, series)
+
+
+def _planner(state: SimState, bs_distance: list[float]):
+    kind = state.config.protocol
+    if kind is ProtocolKind.DR:
+        return DrPlanner(state.fp, state.nodes, bs_distance)
+    if kind is ProtocolKind.LEACH:
+        return LeachPlanner(state.nodes, state.leach_state)
+    return LeachCPlanner(state.nodes, state.config.ch_probability)
+
+
+def _simulate(state: SimState) -> list[RoundMetrics]:
+    cfg = state.config
+    params, bits = cfg.radio, cfg.packet_bits
+    n = len(state.nodes)
+    xs = [nd.pos.x for nd in state.nodes]
+    ys = [nd.pos.y for nd in state.nodes]
+    bs_distance = [nd.pos.distance_to(cfg.bs) for nd in state.nodes]
+    bs_cost = [radio.tx_energy(params, bits, d) for d in bs_distance]
+    rx_unit = radio.rx_energy(params, bits)
+    planner = _planner(state, bs_distance)
+
+    link_costs: dict[int, float] = {}   # lower id * n + higher id -> tx energy
+
+    def link(src: int, dest: int) -> float:
+        if dest == BS:
+            return bs_cost[src]
+        key = src * n + dest if src < dest else dest * n + src
+        cost = link_costs.get(key)
+        if cost is None:
+            distance = math.hypot(xs[src] - xs[dest], ys[src] - ys[dest])
+            cost = link_costs[key] = radio.tx_energy(params, bits, distance)
+        return cost
+
+    energy = [nd.energy for nd in state.nodes]
+    alive = [nd.alive for nd in state.nodes]
+    alive_ids = [nd.id for nd in state.nodes if nd.alive]
     series: list[RoundMetrics] = []
     cumulative = 0.0
-    for round_index in range(1, config.max_rounds + 1):
-        if state.alive_count() == 0:
+    for round_index in range(1, cfg.max_rounds + 1):
+        if not alive_ids:
             break
-        plan = build_plan(state, round_index)
-        metrics = run_round(state, plan)
-        cumulative += metrics.energy_spent
-        series.append(replace(metrics, cumulative_energy=cumulative))
-    return series, summarize(config, series)
+        members, dests, chs, next_hops = planner.plan(round_index, alive_ids,
+                                                      alive, energy)
+        received = dict.fromkeys(chs, 0)
+        for dest in dests:
+            if dest != BS:
+                received[dest] += 1
+        for next_hop in next_hops:
+            if next_hop != BS:
+                received[next_hop] += 1
+
+        # Charged as run_round sums them: members in id order, then CHs.
+        costs = [link(i, dest) for i, dest in zip(members, dests)]
+        costs += [rx_unit * received[ch] + radio.agg_energy(params, bits, received[ch] + 1)
+                  + link(ch, next_hop) for ch, next_hop in zip(chs, next_hops)]
+        spent = 0.0
+        deaths = False
+        for i, cost in zip(members + chs, costs):
+            before = energy[i]
+            after = before - cost
+            if after <= 0.0:
+                after = 0.0
+                alive[i] = False
+                deaths = True
+            energy[i] = after
+            spent += before - after
+        if deaths:
+            alive_ids = [i for i in alive_ids if alive[i]]
+
+        cumulative += spent
+        packets = dests.count(BS) + next_hops.count(BS)
+        series.append(RoundMetrics(round_index, len(alive_ids), len(chs), packets,
+                                   spent, cumulative))
+    return series
 
 
 EXPERIMENT_PROTOCOLS = (ProtocolKind.DR, ProtocolKind.LEACH, ProtocolKind.LEACH_C)

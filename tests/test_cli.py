@@ -135,6 +135,16 @@ class TestCli:
         assert rc != 0
         assert "node_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "initial_energy=nan", "e_fs=inf", "field_length=inf", "e_da=nan",
+        "ch_probability=nan", "ch_probability=1e-320",
+    ])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--set", setting]) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (out / "run.csv").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["--set", "node_count=20", "--set", "max_rounds=40",
                 "--set", "initial_energy=0.02", "--set", "seed=77"]

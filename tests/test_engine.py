@@ -1,0 +1,103 @@
+"""Differential check of the round engine behind `sim.run` against the
+scalar reference loop over `make_state`, `build_plan` and `run_round`.
+
+Both must agree exactly (`==` on floats): same distances, same `radio`
+calls, same random draws and the same summation order.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from drsim import sim
+from drsim.geometry import Point, locate
+from drsim.protocols import Node, ProtocolKind
+from drsim.sim import SimConfig, build_plan, make_state, run, run_round, summarize
+
+
+def reference_run(config):
+    state = make_state(config)
+    series = []
+    cumulative = 0.0
+    for round_index in range(1, config.max_rounds + 1):
+        if state.alive_count() == 0:
+            break
+        metrics = run_round(state, build_plan(state, round_index))
+        cumulative += metrics.energy_spent
+        series.append(replace(metrics, cumulative_energy=cumulative))
+    return series, summarize(config, series)
+
+
+def assert_same(config):
+    series, summary = run(config)
+    expected_series, expected_summary = reference_run(config)
+    assert len(series) == len(expected_series)
+    for got, want in zip(series, expected_series):
+        assert got == want
+    assert summary == expected_summary
+
+
+# The benchmark's three workload shapes: the defaults to last death; N=400
+# capped before the first death; N=400 on 8 rings, DR to last death and the
+# baselines, which ignore the rings, for 50 rounds.
+SHAPES = {
+    "defaults": {},
+    "dense": dict(node_count=400, max_rounds=200),
+    "deep-rings": dict(node_count=400, n_rings=8),
+}
+DEEP_BASELINE_ROUNDS = 50
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("shape,seed", [("defaults", 1), ("defaults", 101),
+                                        ("dense", 1), ("deep-rings", 7)])
+def test_matches_reference_at_workload_shapes(kind, shape, seed):
+    settings_ = dict(SHAPES[shape], protocol=kind, seed=seed)
+    if shape == "deep-rings" and kind is not ProtocolKind.DR:
+        settings_["max_rounds"] = DEEP_BASELINE_ROUNDS
+    assert_same(SimConfig(**settings_))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(node_count=st.integers(1, 60),
+       n_rings=st.integers(2, 5),
+       initial_energy=st.floats(1e-4, 0.02),
+       # every probability SimConfig accepts: LEACH's epoch int(1/p) exists
+       ch_probability=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       .filter(lambda p: math.isfinite(1 / p)),
+       kind=st.sampled_from(list(ProtocolKind)),
+       seed=st.integers(0, 2**32 - 1))
+def test_matches_reference_on_small_configs(node_count, n_rings, initial_energy,
+                                            ch_probability, kind, seed):
+    assert_same(SimConfig(node_count=node_count, n_rings=n_rings,
+                          initial_energy=initial_energy,
+                          ch_probability=ch_probability, protocol=kind,
+                          seed=seed, max_rounds=3000))
+
+
+def lattice_deploy(config, fp, rng):
+    """Nodes on a square lattice that includes the field's edges and region
+    boundaries: rosters, corner choices and nearest CHs all meet exact
+    distance ties, and every LEACH-C energy starts equal (for N=121 at
+    0.03 J, their computed mean rounds above them)."""
+    side = math.ceil(math.sqrt(config.node_count))
+    step = max(side - 1, 1)
+    nodes = []
+    for i in range(config.node_count):
+        pos = Point((i % side) * config.field_length / step,
+                    (i // side) * config.field_length / step)
+        nodes.append(Node(i, pos, config.initial_energy, True, locate(pos, fp)))
+    return nodes
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("node_count,n_rings", [(16, 2), (49, 3), (100, 3), (121, 5)])
+def test_matches_reference_on_a_lattice(monkeypatch, kind, node_count, n_rings):
+    monkeypatch.setattr(sim, "deploy", lattice_deploy)
+    assert_same(SimConfig(node_count=node_count, n_rings=n_rings,
+                          initial_energy=0.03, ch_probability=0.1,
+                          protocol=kind, seed=5))

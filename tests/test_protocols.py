@@ -230,6 +230,15 @@ class TestLeach:
         mean = sum(counts) / len(counts)
         assert 0.05 * 100 * 0.8 <= mean <= 0.05 * 100 * 1.2
 
+    def test_equal_energies_whose_mean_rounds_above_them(self, fp):
+        nodes = deployed_nodes(fp, seed=18, count=30)
+        for nd in nodes:
+            nd.energy = 0.05
+        assert np.mean([nd.energy for nd in nodes]) > 0.05
+        plan = leach_c_build_plan(nodes, 1, 0.05)  # k = round(1.5) = 2
+        assert len(plan.ch_next_hop) == 2
+        assert set(plan.memberships) == {nd.id for nd in nodes} - plan.cluster_heads
+
     def test_members_join_nearest_ch(self, fp):
         nodes = deployed_nodes(fp, seed=4)
         by_id = {nd.id: nd for nd in nodes}
@@ -281,6 +290,15 @@ class TestLeachC:
         poor = {nd.id for nd in nodes[:60]}
         plan = leach_c_build_plan(nodes, 1, 0.05)
         assert not plan.cluster_heads & poor
+
+    def test_equal_energies_whose_mean_rounds_above_them(self, fp):
+        nodes = deployed_nodes(fp, seed=18, count=30)
+        for nd in nodes:
+            nd.energy = 0.05
+        assert np.mean([nd.energy for nd in nodes]) > 0.05
+        plan = leach_c_build_plan(nodes, 1, 0.05)  # k = round(1.5) = 2
+        assert len(plan.ch_next_hop) == 2
+        assert set(plan.memberships) == {nd.id for nd in nodes} - plan.cluster_heads
 
     def test_members_join_nearest_ch(self, fp):
         nodes = deployed_nodes(fp, seed=14)

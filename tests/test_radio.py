@@ -24,6 +24,12 @@ class TestParams:
         with pytest.raises(RadioError):
             RadioParams(e_fs=-1e-12)
 
+    @pytest.mark.parametrize("name", ["e_elec", "e_fs", "e_mp", "e_da"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_constants(self, name, value):
+        with pytest.raises(RadioError, match=name):
+            RadioParams(**{name: value})
+
 
 class TestTxEnergy:
     def test_free_space_reference_value(self):

@@ -181,6 +181,9 @@ class TestConfigValidation:
         dict(n_rings=1),
         dict(packet_bits=0),
         dict(ch_probability=1.0),
+        dict(ch_probability=1e-320),
+        dict(initial_energy=float("nan")),
+        dict(field_length=float("inf")),
     ])
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
