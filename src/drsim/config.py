@@ -73,7 +73,7 @@ def _parse_line(line: str, where: str) -> tuple[str, object] | None:
         return key, convert(raw)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # OverflowError: an int past float range
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}")
 
 
@@ -110,17 +110,3 @@ def parse_config(path: str | None, overrides: list[str] = ()) -> SimConfig:
         return SimConfig(**plain)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-def config_as_text(config: SimConfig) -> str:
-    """Render a config back to the key = value format (for run records)."""
-    lines = []
-    for key, (target, _) in _KEYS.items():
-        if target.startswith("radio."):
-            value = getattr(config.radio, target.removeprefix("radio."))
-        else:
-            value = getattr(config, target)
-        if isinstance(value, ProtocolKind):
-            value = value.value
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

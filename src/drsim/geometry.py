@@ -65,20 +65,6 @@ class Rect:
         return (self.min_corner.x <= p.x <= self.max_corner.x
                 and self.min_corner.y <= p.y <= self.max_corner.y)
 
-    def shares_edge_with(self, other: "Rect") -> bool:
-        """True if the two rectangles touch along a segment (not a point)."""
-        if self.min_corner.x == other.max_corner.x or self.max_corner.x == other.min_corner.x:
-            overlap = (min(self.max_corner.y, other.max_corner.y)
-                       - max(self.min_corner.y, other.min_corner.y))
-            if overlap > 0:
-                return True
-        if self.min_corner.y == other.max_corner.y or self.max_corner.y == other.min_corner.y:
-            overlap = (min(self.max_corner.x, other.max_corner.x)
-                       - max(self.min_corner.x, other.min_corner.x))
-            if overlap > 0:
-                return True
-        return False
-
 
 class RegionKind(Enum):
     CENTRAL = "central"
@@ -150,9 +136,10 @@ def build_partition(field_length: float, n: int) -> FieldPartition:
 
     # Offset of the k-th square's side from the center. Computed as a single
     # division so that ring k's outer edge and ring k+1's inner edge are the
-    # identical float, and offset(n) is exactly L/2.
+    # identical float. offset(n) is L/2 itself: L*n/(2n) can round below it,
+    # which would leave the field's edges outside every region.
     def offset(k: int) -> float:
-        return field_length * k / (2 * n)
+        return field_length / 2.0 if k == n else field_length * k / (2 * n)
 
     regions: list[Region] = []
     central_bounds = square_corners(center, offset(1))

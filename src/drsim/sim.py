@@ -7,25 +7,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
 from . import radio
-from .geometry import FieldPartition, Point, RegionKind, build_partition, locate
-from .protocols import (
-    BS,
-    DrPlanner,
-    LeachCPlanner,
-    LeachPlanner,
-    LeachState,
-    Node,
-    ProtocolKind,
-    RoundPlan,
-    dr_build_plan,
-    leach_build_plan,
-    leach_c_build_plan,
-)
+from .geometry import FieldPartition, Point, build_partition, locate
+from .protocols import BS, DrPlanner, IndexPlan, LeachCPlanner, LeachPlanner, Node, ProtocolKind
 
 
 @dataclass(frozen=True)
@@ -61,6 +48,22 @@ class SimConfig:
             raise ValueError(
                 f"ch_probability must be in (0, 1) with a finite 1/p, "
                 f"got {self.ch_probability}")
+        # No link is longer than the field diagonal, the transmit cost grows
+        # with distance, and a CH hears at most the other N-1 nodes: no node
+        # spends more than this in a round.
+        bits, params = self.packet_bits, self.radio
+        try:
+            worst = (radio.tx_energy(params, bits, self.field_length * math.sqrt(2))
+                     + radio.rx_energy(params, bits) * (self.node_count - 1)
+                     + radio.agg_energy(params, bits, self.node_count))
+        except OverflowError:
+            worst = math.inf
+        if not math.isfinite(worst):
+            raise ValueError(
+                f"a node's energy cost per round can overflow with "
+                f"field_length={self.field_length}, node_count={self.node_count}, "
+                f"packet_bits={bits}, e_elec={params.e_elec}, e_fs={params.e_fs}, "
+                f"e_mp={params.e_mp}, e_da={params.e_da}")
 
     @property
     def bs(self) -> Point:
@@ -92,7 +95,6 @@ class SimState:
     fp: FieldPartition
     nodes: list[Node]
     rng: np.random.Generator
-    leach_state: Optional[LeachState] = None
 
     def alive_count(self) -> int:
         return sum(1 for nd in self.nodes if nd.alive)
@@ -114,104 +116,7 @@ def make_state(config: SimConfig) -> SimState:
     fp = build_partition(config.field_length, config.n_rings)
     rng = np.random.default_rng(config.seed)
     nodes = deploy(config, fp, rng)
-    leach_state = None
-    if config.protocol is ProtocolKind.LEACH:
-        leach_state = LeachState(config.ch_probability, rng)
-    return SimState(config, fp, nodes, rng, leach_state)
-
-
-def build_plan(state: SimState, round_index: int) -> RoundPlan:
-    kind = state.config.protocol
-    if kind is ProtocolKind.DR:
-        return dr_build_plan(state.fp, state.nodes, round_index)
-    if kind is ProtocolKind.LEACH:
-        return leach_build_plan(state.nodes, round_index, state.leach_state)
-    return leach_c_build_plan(state.nodes, round_index, state.config.ch_probability)
-
-
-def run_round(state: SimState, plan: RoundPlan, *,
-              fixed_distance: Optional[float] = None,
-              compress: bool = True,
-              breakdown: Optional[dict] = None) -> RoundMetrics:
-    """Charge the round's traffic and apply deaths.
-
-    Charging order per the steady-state phase: member transmissions, CH
-    receptions, CH aggregation, CH forwarding. A node completes its in-round
-    actions even if they overdraw its energy; it is then floored at 0 J and
-    marked dead. Direct-to-BS senders pay transmit cost only.
-
-    `fixed_distance` forces every link to a constant length and `compress`
-    toggles CH aggregation compression (one outgoing packet vs one per
-    collected signal); both exist for validation against the closed-form
-    energy expressions and default to production behavior. `breakdown`, when
-    given, is filled with per-(ring, category) energy totals.
-    """
-    cfg = state.config
-    bits = cfg.packet_bits
-    by_id = {nd.id: nd for nd in state.nodes}
-
-    def link(src: Node, dest: Optional[int]) -> float:
-        if fixed_distance is not None:
-            return fixed_distance
-        target = cfg.bs if dest is None else by_id[dest].pos
-        return src.pos.distance_to(target)
-
-    def record(ring: int, category: str, joules: float):
-        if breakdown is not None:
-            key = (ring, category)
-            breakdown[key] = breakdown.get(key, 0.0) + joules
-
-    rx_counts: dict[int, int] = {ch: 0 for ch in plan.ch_next_hop}
-    for dest in plan.memberships.values():
-        if dest is not None:
-            rx_counts[dest] += 1
-    for next_hop in plan.ch_next_hop.values():
-        if next_hop is not None:
-            rx_counts[next_hop] += 1
-
-    costs: dict[int, float] = {}
-    packets_to_bs = 0
-
-    for node_id, dest in plan.memberships.items():
-        node = by_id[node_id]
-        e = radio.tx_energy(cfg.radio, bits, link(node, dest))
-        costs[node_id] = costs.get(node_id, 0.0) + e
-        region = state.fp.region(node.region)
-        if dest is None:
-            packets_to_bs += 1
-            category = "cr_bs_tx" if region.kind is RegionKind.CORNER else "direct_bs_tx"
-        else:
-            category = "cr_ch_tx" if region.kind is RegionKind.CORNER else "member_tx"
-        record(region.ring, category, e)
-
-    for ch_id, next_hop in plan.ch_next_hop.items():
-        ch = by_id[ch_id]
-        ring = state.fp.region(ch.region).ring
-        received = rx_counts[ch_id]
-        signals = received + 1  # the CH's own packet
-
-        e_rx = radio.rx_energy(cfg.radio, bits) * received
-        e_agg = radio.agg_energy(cfg.radio, bits, signals)
-        out_packets = 1 if compress else signals
-        e_tx = radio.tx_energy(cfg.radio, bits, link(ch, next_hop)) * out_packets
-        costs[ch_id] = costs.get(ch_id, 0.0) + e_rx + e_agg + e_tx
-        if next_hop is None:
-            packets_to_bs += out_packets
-        record(ring, "ch_rx", e_rx)
-        record(ring, "ch_agg", e_agg)
-        record(ring, "ch_tx", e_tx)
-
-    energy_spent = 0.0
-    for node_id, cost in costs.items():
-        node = by_id[node_id]
-        before = node.energy
-        node.energy = max(0.0, node.energy - cost)
-        energy_spent += before - node.energy
-        if node.energy <= 0.0:
-            node.alive = False
-
-    return RoundMetrics(plan.round, state.alive_count(), len(plan.ch_next_hop),
-                        packets_to_bs, energy_spent, 0.0)
+    return SimState(config, fp, nodes, rng)
 
 
 def summarize(config: SimConfig, series: list[RoundMetrics]) -> RunSummary:
@@ -230,63 +135,82 @@ def summarize(config: SimConfig, series: list[RoundMetrics]) -> RunSummary:
 
 
 def run(config: SimConfig) -> tuple[list[RoundMetrics], RunSummary]:
-    """One full simulation: deploy, then plan + account each round until all
-    nodes are dead or the round cap is reached.
+    """One full simulation: deploy, then play rounds until all nodes are
+    dead or the round cap is reached.
 
-    What cannot change after deployment (distances and transmit costs to
-    the BS, region maps, rosters, distance matrices) is built once, here
-    rather than in `make_state`. Rounds keep energy and alive status in flat
-    lists and plans as index lists. The series is exactly that of the loop
-    over `build_plan` and `run_round`, which stay as the reference: the same
-    distance and `radio` calls, draws and summation order.
+    `tests/reference.py` holds the scalar engine over `Node` objects that
+    this one must reproduce exactly: the same distance and `radio` calls,
+    draws and summation order.
     """
     state = make_state(config)
-    series = _simulate(state)
+    rounds = Rounds(state)
+    series: list[RoundMetrics] = []
+    cumulative = 0.0
+    for round_index in range(1, config.max_rounds + 1):
+        if not rounds.alive_ids:
+            break
+        plan, spent, packets = rounds.play(round_index)
+        cumulative += spent
+        series.append(RoundMetrics(round_index, len(rounds.alive_ids), len(plan.chs),
+                                   packets, spent, cumulative))
     return series, summarize(config, series)
 
 
 def _planner(state: SimState, bs_distance: list[float]):
-    kind = state.config.protocol
-    if kind is ProtocolKind.DR:
-        return DrPlanner(state.fp, state.nodes, bs_distance)
-    if kind is ProtocolKind.LEACH:
-        return LeachPlanner(state.nodes, state.leach_state)
-    return LeachCPlanner(state.nodes, state.config.ch_probability)
-
-
-def _simulate(state: SimState) -> list[RoundMetrics]:
     cfg = state.config
-    params, bits = cfg.radio, cfg.packet_bits
-    n = len(state.nodes)
-    xs = [nd.pos.x for nd in state.nodes]
-    ys = [nd.pos.y for nd in state.nodes]
-    bs_distance = [nd.pos.distance_to(cfg.bs) for nd in state.nodes]
-    bs_cost = [radio.tx_energy(params, bits, d) for d in bs_distance]
-    rx_unit = radio.rx_energy(params, bits)
-    planner = _planner(state, bs_distance)
+    if cfg.protocol is ProtocolKind.DR:
+        return DrPlanner(state.fp, state.nodes, bs_distance)
+    if cfg.protocol is ProtocolKind.LEACH:
+        return LeachPlanner(state.nodes, cfg.ch_probability, state.rng)
+    return LeachCPlanner(state.nodes, cfg.ch_probability)
 
-    link_costs: dict[int, float] = {}   # lower id * n + higher id -> tx energy
 
-    def link(src: int, dest: int) -> float:
-        if dest == BS:
-            return bs_cost[src]
-        key = src * n + dest if src < dest else dest * n + src
-        cost = link_costs.get(key)
-        if cost is None:
-            distance = math.hypot(xs[src] - xs[dest], ys[src] - ys[dest])
-            cost = link_costs[key] = radio.tx_energy(params, bits, distance)
-        return cost
+class Rounds:
+    """The rounds of one run, played one at a time.
 
-    energy = [nd.energy for nd in state.nodes]
-    alive = [nd.alive for nd in state.nodes]
-    alive_ids = [nd.id for nd in state.nodes if nd.alive]
-    series: list[RoundMetrics] = []
-    cumulative = 0.0
-    for round_index in range(1, cfg.max_rounds + 1):
-        if not alive_ids:
-            break
-        members, dests, chs, next_hops = planner.plan(round_index, alive_ids,
-                                                      alive, energy)
+    What cannot change after deployment (distances and transmit costs to
+    the BS, and the planner's region maps, rosters and distance matrices)
+    is built once, here. Energy and alive status live in the flat lists
+    `energy` and `alive`, indexed by node id, and `alive_ids` lists the
+    alive nodes in id order; `play` updates all three. Link costs come from
+    a per-run cache of scalar `radio.tx_energy` values.
+    """
+
+    def __init__(self, state: SimState):
+        cfg = state.config
+        params, bits = cfg.radio, cfg.packet_bits
+        n = len(state.nodes)
+        xs = [nd.pos.x for nd in state.nodes]
+        ys = [nd.pos.y for nd in state.nodes]
+        bs_distance = [nd.pos.distance_to(cfg.bs) for nd in state.nodes]
+        bs_cost = [radio.tx_energy(params, bits, d) for d in bs_distance]
+        link_costs: dict[int, float] = {}   # lower id * n + higher id -> tx energy
+
+        def link(src: int, dest: int) -> float:
+            if dest == BS:
+                return bs_cost[src]
+            key = src * n + dest if src < dest else dest * n + src
+            cost = link_costs.get(key)
+            if cost is None:
+                distance = math.hypot(xs[src] - xs[dest], ys[src] - ys[dest])
+                cost = link_costs[key] = radio.tx_energy(params, bits, distance)
+            return cost
+
+        self._link = link
+        self._params, self._bits = params, bits
+        self._rx_unit = radio.rx_energy(params, bits)
+        self._planner = _planner(state, bs_distance)
+        self.energy = [nd.energy for nd in state.nodes]
+        self.alive = [nd.alive for nd in state.nodes]
+        self.alive_ids = [nd.id for nd in state.nodes if nd.alive]
+
+    def play(self, round_index: int) -> tuple[IndexPlan, float, int]:
+        """Plan and charge one round; returns the plan, the energy spent and
+        the packets that reached the BS."""
+        link, params, bits, rx_unit = self._link, self._params, self._bits, self._rx_unit
+        energy, alive = self.energy, self.alive
+        plan = self._planner.plan(round_index, self.alive_ids, alive, energy)
+        members, dests, chs, next_hops = plan
         received = dict.fromkeys(chs, 0)
         for dest in dests:
             if dest != BS:
@@ -295,7 +219,7 @@ def _simulate(state: SimState) -> list[RoundMetrics]:
             if next_hop != BS:
                 received[next_hop] += 1
 
-        # Charged as run_round sums them: members in id order, then CHs.
+        # Charged in the order the outputs fix: members in id order, then CHs.
         costs = [link(i, dest) for i, dest in zip(members, dests)]
         costs += [rx_unit * received[ch] + radio.agg_energy(params, bits, received[ch] + 1)
                   + link(ch, next_hop) for ch, next_hop in zip(chs, next_hops)]
@@ -311,13 +235,8 @@ def _simulate(state: SimState) -> list[RoundMetrics]:
             energy[i] = after
             spent += before - after
         if deaths:
-            alive_ids = [i for i in alive_ids if alive[i]]
-
-        cumulative += spent
-        packets = dests.count(BS) + next_hops.count(BS)
-        series.append(RoundMetrics(round_index, len(alive_ids), len(chs), packets,
-                                   spent, cumulative))
-    return series
+            self.alive_ids = [i for i in self.alive_ids if alive[i]]
+        return plan, spent, dests.count(BS) + next_hops.count(BS)
 
 
 EXPERIMENT_PROTOCOLS = (ProtocolKind.DR, ProtocolKind.LEACH, ProtocolKind.LEACH_C)

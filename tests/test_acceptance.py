@@ -13,16 +13,9 @@ import pytest
 from drsim import analytic, radio
 from drsim.cli import main
 from drsim.geometry import Point, RegionKind, build_partition, locate
-from drsim.protocols import Node, ProtocolKind, RoundPlan, dr_build_plan
-from drsim.sim import (
-    SimConfig,
-    SimState,
-    build_plan,
-    experiment,
-    make_state,
-    run,
-    run_round,
-)
+from drsim.protocols import Node, ProtocolKind
+from drsim.sim import Rounds, SimConfig, SimState, experiment, make_state, run
+from reference import RoundPlan, dr_build_plan, run_round
 
 
 def report(number, name, ok, detail=""):
@@ -71,18 +64,18 @@ def test_c3_fixed_ch_count():
     ok = True
     for seed in range(1, 11):
         state = make_state(SimConfig(seed=seed))
+        rounds = Rounds(state)
         ncr_ids = [r.id for r in state.fp.regions
                    if r.kind is RegionKind.NON_CORNER]
         for round_index in range(1, state.config.max_rounds + 1):
             alive_per_ncr = {rid: 0 for rid in ncr_ids}
             for nd in state.nodes:
-                if nd.alive and nd.region in alive_per_ncr:
+                if rounds.alive[nd.id] and nd.region in alive_per_ncr:
                     alive_per_ncr[nd.region] += 1
-            if min(alive_per_ncr.values()) == 0 or state.alive_count() == 0:
+            if min(alive_per_ncr.values()) == 0 or not rounds.alive_ids:
                 break
-            plan = build_plan(state, round_index)
-            ok &= len(plan.ch_next_hop) == 8
-            run_round(state, plan)
+            plan, _, _ = rounds.play(round_index)
+            ok &= len(plan.chs) == 8
     assert report(3, "fixed DR CH count (8 per round, 10 seeds)", ok)
 
 
@@ -106,16 +99,16 @@ def test_c5_energy_ledger():
     ok = True
     for kind in (ProtocolKind.DR, ProtocolKind.LEACH, ProtocolKind.LEACH_C):
         cfg = SimConfig(seed=1, protocol=kind)
-        state = make_state(cfg)
+        rounds = Rounds(make_state(cfg))
         cumulative = 0.0
         for round_index in range(1, cfg.max_rounds + 1):
-            if state.alive_count() == 0:
+            if not rounds.alive_ids:
                 break
-            before = {nd.id: nd.energy for nd in state.nodes}
-            metrics = run_round(state, build_plan(state, round_index))
-            decrease = sum(before[nd.id] - nd.energy for nd in state.nodes)
-            ok &= abs(metrics.energy_spent - decrease) <= 1e-12
-            cumulative += metrics.energy_spent
+            before = list(rounds.energy)
+            _, spent, _ = rounds.play(round_index)
+            decrease = sum(b - a for b, a in zip(before, rounds.energy))
+            ok &= abs(spent - decrease) <= 1e-12
+            cumulative += spent
         ok &= cumulative <= cfg.node_count * cfg.initial_energy + 1e-12
     assert report(5, "energy ledger identity", ok)
 

@@ -138,11 +138,17 @@ class TestCli:
     @pytest.mark.parametrize("setting", [
         "initial_energy=nan", "e_fs=inf", "field_length=inf", "e_da=nan",
         "ch_probability=nan", "ch_probability=1e-320",
+        # finite, but a node's cost per round is not
+        "field_length=1e200", "e_mp=1e300", "e_da=1e306",
+        pytest.param("node_count=" + "9" * 400, id="node_count=9x400"),
     ])
     def test_non_finite_values_exit_2(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), "--set", setting]) == 2
-        assert setting.split("=")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert setting.split("=")[0] in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert not (out / "run.csv").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):

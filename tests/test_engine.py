@@ -1,12 +1,12 @@
 """Differential check of the round engine behind `sim.run` against the
-scalar reference loop over `make_state`, `build_plan` and `run_round`.
+scalar reference loop in `reference.py`, and properties of the engine's
+plans.
 
-Both must agree exactly (`==` on floats): same distances, same `radio`
-calls, same random draws and the same summation order.
+Both engines must agree exactly (`==` on floats): same distances, same
+`radio` calls, same random draws and the same summation order.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,21 +14,9 @@ from hypothesis import strategies as st
 
 from drsim import sim
 from drsim.geometry import Point, locate
-from drsim.protocols import Node, ProtocolKind
-from drsim.sim import SimConfig, build_plan, make_state, run, run_round, summarize
-
-
-def reference_run(config):
-    state = make_state(config)
-    series = []
-    cumulative = 0.0
-    for round_index in range(1, config.max_rounds + 1):
-        if state.alive_count() == 0:
-            break
-        metrics = run_round(state, build_plan(state, round_index))
-        cumulative += metrics.energy_spent
-        series.append(replace(metrics, cumulative_energy=cumulative))
-    return series, summarize(config, series)
+from drsim.protocols import BS, Node, ProtocolKind
+from drsim.sim import Rounds, SimConfig, make_state, run
+from reference import reference_run
 
 
 def assert_same(config):
@@ -61,16 +49,23 @@ def test_matches_reference_at_workload_shapes(kind, shape, seed):
     assert_same(SimConfig(**settings_))
 
 
+# Small random configs. Every alive node spends at least bits * e_elec =
+# 0.2 mJ a round, so their runs end within 100 rounds.
+SMALL_CONFIGS = dict(
+    node_count=st.integers(1, 60),
+    n_rings=st.integers(2, 5),
+    initial_energy=st.floats(1e-4, 0.02),
+    # every probability SimConfig accepts: LEACH's epoch int(1/p) exists
+    ch_probability=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    .filter(lambda p: math.isfinite(1 / p)),
+    kind=st.sampled_from(list(ProtocolKind)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(node_count=st.integers(1, 60),
-       n_rings=st.integers(2, 5),
-       initial_energy=st.floats(1e-4, 0.02),
-       # every probability SimConfig accepts: LEACH's epoch int(1/p) exists
-       ch_probability=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-       .filter(lambda p: math.isfinite(1 / p)),
-       kind=st.sampled_from(list(ProtocolKind)),
-       seed=st.integers(0, 2**32 - 1))
+@given(**SMALL_CONFIGS)
 def test_matches_reference_on_small_configs(node_count, n_rings, initial_energy,
                                             ch_probability, kind, seed):
     assert_same(SimConfig(node_count=node_count, n_rings=n_rings,
@@ -101,3 +96,51 @@ def test_matches_reference_on_a_lattice(monkeypatch, kind, node_count, n_rings):
     assert_same(SimConfig(node_count=node_count, n_rings=n_rings,
                           initial_energy=0.03, ch_probability=0.1,
                           protocol=kind, seed=5))
+
+
+def assert_well_formed(plan, alive_ids, ring_of=None):
+    """Who sends is alive, sends once, and reaches the BS without a loop."""
+    members, dests, chs, next_hops = plan
+    member_set, ch_set = set(members), set(chs)
+    assert len(member_set) == len(members) and len(ch_set) == len(chs)
+    assert not member_set & ch_set
+    assert member_set | ch_set == set(alive_ids)
+    assert all(dest == BS or dest in ch_set for dest in dests)
+    hop = dict(zip(chs, next_hops))
+    assert all(nxt == BS or (nxt in ch_set and nxt != ch) for ch, nxt in hop.items())
+    for ch in chs:
+        for _ in range(len(chs)):
+            if ch == BS:
+                break
+            ch = hop[ch]
+        assert ch == BS
+    if ring_of is not None:
+        assert all(hop[ch] == BS for ch in chs if ring_of(ch) == 1)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**SMALL_CONFIGS)
+def test_plans_are_well_formed(node_count, n_rings, initial_energy,
+                               ch_probability, kind, seed):
+    config = SimConfig(node_count=node_count, n_rings=n_rings,
+                       initial_energy=initial_energy,
+                       ch_probability=ch_probability, protocol=kind,
+                       seed=seed, max_rounds=3000)
+    state = make_state(config)
+    ring_of = None
+    if kind is ProtocolKind.DR:
+        def ring_of(i):
+            return state.fp.region(state.nodes[i].region).ring
+    rounds = Rounds(state)
+    for round_index in range(1, config.max_rounds + 1):
+        if not rounds.alive_ids:
+            break
+        alive_ids = list(rounds.alive_ids)
+        plan, _, _ = rounds.play(round_index)
+        assert_well_formed(plan, alive_ids, ring_of)
+
+    series, summary = run(config)
+    assert summary.fnd <= summary.hnd <= summary.lnd
+    alives = [m.alive for m in series]
+    assert all(a >= b for a, b in zip([node_count] + alives, alives))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsim.geometry import (
     GeometryError,
@@ -20,6 +22,17 @@ from drsim.geometry import (
 @pytest.fixture(scope="module")
 def fp100_3():
     return build_partition(100.0, 3)
+
+
+def _shares_edge(a, b):
+    """True if the two rectangles touch along a segment (not a point)."""
+    if a.min_corner.x == b.max_corner.x or a.max_corner.x == b.min_corner.x:
+        if min(a.max_corner.y, b.max_corner.y) - max(a.min_corner.y, b.min_corner.y) > 0:
+            return True
+    if a.min_corner.y == b.max_corner.y or a.max_corner.y == b.min_corner.y:
+        if min(a.max_corner.x, b.max_corner.x) - max(a.min_corner.x, b.min_corner.x) > 0:
+            return True
+    return False
 
 
 class TestSquareCorners:
@@ -193,11 +206,33 @@ class TestAdjacency:
                 other = fp100_3.region(nid)
                 assert other.kind is RegionKind.NON_CORNER
                 assert other.ring == region.ring
-                assert region.bounds.shares_edge_with(other.bounds)
+                assert _shares_edge(region.bounds, other.bounds)
 
     def test_corner_query_rejects_non_corner(self, fp100_3):
         with pytest.raises(GeometryError):
             cr_neighbor_ncrs(2, fp100_3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_length=st.floats(1e-3, 1e9),
+       n=st.integers(2, 12),
+       fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          max_size=20))
+def test_partition_tiles_the_field(field_length, n, fractions):
+    fp = build_partition(field_length, n)
+    d2 = fp.d ** 2
+    assert len(fp.regions) == 8 * n - 7
+    total = sum(r.bounds.area for r in fp.regions)
+    assert total == pytest.approx(field_length ** 2, rel=1e-9)
+    assert fp.regions[0].bounds.area == pytest.approx(4 * d2, rel=1e-9)
+    for r in fp.regions[1:]:
+        if r.kind is RegionKind.CORNER:
+            assert r.bounds.area == pytest.approx(d2, rel=1e-9)
+        else:
+            assert r.bounds.area == pytest.approx(2 * r.ring * d2, rel=1e-9)
+    for u, v in fractions:
+        p = Point(u * field_length, v * field_length)
+        assert fp.region(locate(p, fp)).bounds.contains(p)
 
 
 def test_scaled_partition_is_similar():

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from drsim.geometry import Point, RegionKind, build_partition, cr_neighbor_ncrs, locate
-from drsim.protocols import (
+from drsim.protocols import Node
+from drsim.sim import SimConfig, deploy
+from reference import (
     LeachState,
-    Node,
     dr_build_plan,
     dr_select_chs,
     leach_build_plan,
     leach_c_build_plan,
 )
-from drsim.sim import SimConfig, deploy
 
 
 @pytest.fixture(scope="module")

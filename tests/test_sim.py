@@ -7,16 +7,8 @@ import pytest
 from drsim.geometry import RegionKind, build_partition
 from drsim.protocols import ProtocolKind
 from drsim.radio import tx_energy
-from drsim.sim import (
-    SimConfig,
-    build_plan,
-    deploy,
-    experiment,
-    make_state,
-    run,
-    run_round,
-    summarize,
-)
+from drsim.sim import Rounds, SimConfig, deploy, experiment, make_state, run, summarize
+from reference import build_plan, run_round
 
 
 def small_config(**kw):
@@ -60,13 +52,12 @@ class TestDeploy:
 class TestRunRound:
     def test_energy_conservation_identity(self):
         for kind in ProtocolKind:
-            state = make_state(small_config(protocol=kind))
+            rounds = Rounds(make_state(small_config(protocol=kind)))
             for r in range(1, 101):
-                before = {nd.id: nd.energy for nd in state.nodes}
-                plan = build_plan(state, r)
-                metrics = run_round(state, plan)
-                decrease = sum(before[nd.id] - nd.energy for nd in state.nodes)
-                assert metrics.energy_spent == pytest.approx(decrease, abs=1e-12)
+                before = list(rounds.energy)
+                _, spent, _ = rounds.play(r)
+                decrease = sum(b - a for b, a in zip(before, rounds.energy))
+                assert spent == pytest.approx(decrease, abs=1e-12)
 
     def test_dead_network_round_is_empty(self):
         state = make_state(small_config())
