@@ -5,8 +5,10 @@ These formulas work on expected populations (density * area) and a single
 representative link distance, and serve as an independent oracle for the
 simulator's bookkeeping. Note the CH transmit term charges one outgoing
 packet per collected signal (plus the aggregation charge phi); it does not
-model aggregation compression, so comparisons against the simulator must
-use its per-signal forwarding mode.
+model aggregation compression. The production engine always compresses, so
+comparisons against a simulated round must charge it with per-signal
+forwarding: `run_round(..., compress=False)` of the reference engine in
+`tests/reference.py`, as the analytic cross-check (criterion 6) does.
 """
 
 from __future__ import annotations

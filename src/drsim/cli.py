@@ -118,7 +118,11 @@ def cmd_analytic(config, out_dir: str) -> int:
 
     The representative link distance is the distance factor d; the per-CH
     aggregation charge is e_da * bits * (expected signals) for each ring.
+    The closed forms model three concentric squares only.
     """
+    if config.n_rings != 3:
+        raise ValueError(f"analytic models exactly 3 concentric squares, "
+                         f"got n_rings={config.n_rings}")
     rho = config.node_count / config.field_length ** 2
     d = config.field_length / (2 * config.n_rings)
     bits = config.packet_bits

@@ -205,22 +205,21 @@ def cr_neighbor_ncrs(region_id: int, fp: FieldPartition) -> list[int]:
     return sorted(base + s for s in _CORNER_TO_SIDES[corner])
 
 
-def distance_matrix(points: list[Point]) -> np.ndarray:
-    """N x N matrix of `Point.distance_to` values (the same `math.hypot`
-    floats), built one row at a time so that no N^2 Python floats exist."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    out = np.empty((len(points), len(points)))
-    for i, p in enumerate(points):
-        out[i] = [math.hypot(p.x - x, p.y - y) for x, y in zip(xs, ys)]
+def distance_matrix(xs: list[float], ys: list[float]) -> np.ndarray:
+    """N x N matrix of the distances between the points (xs[i], ys[i]), the
+    same `math.hypot` floats as `Point.distance_to`, built one row at a time
+    so that no N^2 Python floats exist."""
+    out = np.empty((len(xs), len(xs)))
+    for i, (x0, y0) in enumerate(zip(xs, ys)):
+        out[i] = [math.hypot(x0 - x, y0 - y) for x, y in zip(xs, ys)]
     return out
 
 
-def squared_distance_matrix(points: list[Point]) -> np.ndarray:
+def squared_distance_matrix(xs: list[float], ys: list[float]) -> np.ndarray:
     """N x N matrix of squared distances with numpy arithmetic, dx*dx + dy*dy:
     the values LEACH-C's greedy placement compares."""
-    pos = np.array([(p.x, p.y) for p in points])
-    out = np.empty((len(points), len(points)))
-    for i in range(len(points)):
+    pos = np.column_stack((xs, ys))
+    out = np.empty((len(xs), len(xs)))
+    for i in range(len(xs)):
         out[i] = ((pos[i] - pos) ** 2).sum(axis=1)
     return out

@@ -1,32 +1,34 @@
 """Per-round cluster formation and routing for the DR protocol and the
 LEACH / LEACH-C baselines.
 
-Each `*Planner` builds its static tables once per run (rosters, region
-maps, distance matrices). Its `plan` maps a 1-based round index and the
-flat per-node energy and alive lists to an `IndexPlan`: who is CH, who
-sends to whom, and where each CH forwards, with `BS` for the base station.
-`tests/reference.py` plans the same rounds over `Node` objects; the two
-must agree exactly.
+Each `*Planner` is built from the run's `SimState` and builds its static
+tables once per run (rosters, region maps, distance matrices). Its `plan`
+maps a 1-based round index and the alive node ids to an `IndexPlan`: who is
+CH, who sends to whom, and where each CH forwards, with `BS` for the base
+station. It reads energy and alive status from the state's lists, which the
+round engine updates. `tests/reference.py` plans the same rounds over one
+object per node; the two must agree exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .geometry import (
     FieldPartition,
-    Point,
     RegionKind,
     cr_neighbor_ncrs,
     distance_matrix,
     inward_adjacent_ncr,
     squared_distance_matrix,
 )
+
+if TYPE_CHECKING:
+    from .sim import SimState
 
 # Corner nodes equidistant from two candidates within this tolerance are
 # tie-broken by residual energy.
@@ -39,26 +41,18 @@ class ProtocolKind(Enum):
     LEACH_C = "leach-c"
 
 
-@dataclass
-class Node:
-    id: int
-    pos: Point
-    energy: float
-    alive: bool
-    region: int
-
-
-def _region_rosters(fp: FieldPartition, nodes: list[Node]) -> dict[int, list[Node]]:
-    """Full per-NCR rosters (alive and dead), distance-ranked to the region
-    midpoint, ties by node id. Only non-central NCRs host CHs."""
-    rosters: dict[int, list[Node]] = {}
-    for node in nodes:
-        region = fp.region(node.region)
-        if region.kind is RegionKind.NON_CORNER:
-            rosters.setdefault(region.id, []).append(node)
+def _region_rosters(fp: FieldPartition, xs: list[float], ys: list[float],
+                    region: list[int]) -> dict[int, list[int]]:
+    """Full per-NCR rosters of node ids (alive and dead), distance-ranked to
+    the region midpoint, ties by node id, NCRs in the order their first node
+    was deployed. Only non-central NCRs host CHs."""
+    rosters: dict[int, list[int]] = {}
+    for i, region_id in enumerate(region):
+        if fp.region(region_id).kind is RegionKind.NON_CORNER:
+            rosters.setdefault(region_id, []).append(i)
     for region_id, members in rosters.items():
         mid = fp.region(region_id).midpoint
-        members.sort(key=lambda nd: (nd.pos.distance_to(mid), nd.id))
+        members.sort(key=lambda i: (math.hypot(xs[i] - mid.x, ys[i] - mid.y), i))
     return rosters
 
 
@@ -87,24 +81,22 @@ class DrPlanner:
     same-ring CHs. A ring-k CH forwards to the same-side ring-(k-1) CH, or
     to the BS from ring 1 or when that region has no CH."""
 
-    def __init__(self, fp: FieldPartition, nodes: list[Node], bs_distance: list[float]):
-        self.xs = [nd.pos.x for nd in nodes]
-        self.ys = [nd.pos.y for nd in nodes]
+    def __init__(self, state: SimState, bs_distance: list[float]):
+        fp = state.fp
+        self.state = state
         self.bs_distance = bs_distance
-        self.region = [nd.region for nd in nodes]
-        self.kind = [fp.region(nd.region).kind for nd in nodes]
-        # (NCR id, node ids by rank), NCRs in the order their first node
-        # was deployed: the order of the CHs in every plan
-        self.rosters = [(rid, [nd.id for nd in roster])
-                        for rid, roster in _region_rosters(fp, nodes).items()]
+        self.kind = [fp.region(rid).kind for rid in state.region]
+        # (NCR id, node ids by rank): the order of the CHs in every plan
+        self.rosters = list(
+            _region_rosters(fp, state.xs, state.ys, state.region).items())
         # NCR id -> the NCR its CH forwards to; ring 1 maps to the central
         # region, which never has a CH, so those CHs send to the BS.
         self.inward = {rid: inward_adjacent_ncr(rid, fp) for rid, _ in self.rosters}
         self.corner_ncrs = {r.id: cr_neighbor_ncrs(r.id, fp) for r in fp.regions
                             if r.kind is RegionKind.CORNER}
 
-    def plan(self, round_index: int, alive_ids: list[int], alive: list[bool],
-             energy: list[float]) -> IndexPlan:
+    def plan(self, round_index: int, alive_ids: list[int]) -> IndexPlan:
+        alive, region = self.state.alive, self.state.region
         chs: dict[int, int] = {}
         for rid, roster in self.rosters:
             start = (round_index - 1) % len(roster)
@@ -119,26 +111,26 @@ class DrPlanner:
             if kind is RegionKind.CENTRAL:
                 dest = BS
             elif kind is RegionKind.NON_CORNER:
-                dest = chs[self.region[i]]
+                dest = chs[region[i]]
                 if dest == i:
                     continue
             else:
-                dest = self._corner_destination(i, chs, energy)
+                dest = self._corner_destination(i, chs)
             members.append(i)
             dests.append(dest)
 
         next_hops = [chs.get(self.inward[rid], BS) for rid in chs]
         return IndexPlan(members, dests, list(chs.values()), next_hops)
 
-    def _corner_destination(self, i: int, chs: dict[int, int],
-                            energy: list[float]) -> int:
+    def _corner_destination(self, i: int, chs: dict[int, int]) -> int:
         """Nearest of the BS and the corner's two NCR CHs. A distance tie
         goes to the CH with more residual energy; the BS beats any tie."""
+        xs, ys, energy = self.state.xs, self.state.ys, self.state.energy
         candidates = [(self.bs_distance[i], BS, math.inf)]
-        for ncr_id in self.corner_ncrs[self.region[i]]:
+        for ncr_id in self.corner_ncrs[self.state.region[i]]:
             ch = chs.get(ncr_id)
             if ch is not None:
-                distance = math.hypot(self.xs[i] - self.xs[ch], self.ys[i] - self.ys[ch])
+                distance = math.hypot(xs[i] - xs[ch], ys[i] - ys[ch])
                 candidates.append((distance, ch, energy[ch]))
         best_dist = min(dist for dist, _, _ in candidates)
         tied = [c for c in candidates if c[0] <= best_dist + DISTANCE_TIE_EPS]
@@ -156,14 +148,13 @@ class LeachPlanner:
     once per epoch.
     """
 
-    def __init__(self, nodes: list[Node], p: float, rng: np.random.Generator):
-        self.p = p
-        self.rng = rng
-        self.distance = distance_matrix([nd.pos for nd in nodes])
-        self.last_elected = [-1] * len(nodes)
+    def __init__(self, state: SimState):
+        self.p = state.config.ch_probability
+        self.rng = state.rng
+        self.distance = distance_matrix(state.xs, state.ys)
+        self.last_elected = [-1] * len(state.xs)
 
-    def plan(self, round_index: int, alive_ids: list[int], alive: list[bool],
-             energy: list[float]) -> IndexPlan:
+    def plan(self, round_index: int, alive_ids: list[int]) -> IndexPlan:
         p = self.p
         epoch = int(1 / p)
         threshold = p / (1 - p * (round_index % epoch))
@@ -194,12 +185,13 @@ class LeachCPlanner:
     from the above-mean-energy candidates by greedy facility selection on
     total squared member distance; members join the nearest CH."""
 
-    def __init__(self, nodes: list[Node], p: float):
-        self.p = p
-        self.d2 = squared_distance_matrix([nd.pos for nd in nodes])
+    def __init__(self, state: SimState):
+        self.state = state
+        self.p = state.config.ch_probability
+        self.d2 = squared_distance_matrix(state.xs, state.ys)
 
-    def plan(self, round_index: int, alive_ids: list[int], alive: list[bool],
-             energy: list[float]) -> IndexPlan:
+    def plan(self, round_index: int, alive_ids: list[int]) -> IndexPlan:
+        energy = self.state.energy
         d2 = self.d2
         if len(alive_ids) < len(d2):
             d2 = d2[np.ix_(alive_ids, alive_ids)]

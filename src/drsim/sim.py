@@ -12,7 +12,7 @@ import numpy as np
 
 from . import radio
 from .geometry import FieldPartition, Point, build_partition, locate
-from .protocols import BS, DrPlanner, IndexPlan, LeachCPlanner, LeachPlanner, Node, ProtocolKind
+from .protocols import BS, DrPlanner, IndexPlan, LeachCPlanner, LeachPlanner, ProtocolKind
 
 
 @dataclass(frozen=True)
@@ -91,32 +91,38 @@ class RunSummary:
 
 @dataclass
 class SimState:
+    """One run's per-node state as lists indexed by node id. Positions and
+    regions are fixed at deployment; `Rounds` updates `energy` and `alive`
+    in place."""
     config: SimConfig
     fp: FieldPartition
-    nodes: list[Node]
     rng: np.random.Generator
+    xs: list[float]
+    ys: list[float]
+    region: list[int]
+    energy: list[float]
+    alive: list[bool]
 
     def alive_count(self) -> int:
-        return sum(1 for nd in self.nodes if nd.alive)
+        return self.alive.count(True)
 
 
-def deploy(config: SimConfig, fp: FieldPartition, rng: np.random.Generator) -> list[Node]:
-    """Uniform random deployment over the field square."""
-    xs = rng.uniform(0.0, config.field_length, config.node_count)
-    ys = rng.uniform(0.0, config.field_length, config.node_count)
-    nodes = []
-    for i in range(config.node_count):
-        pos = Point(float(xs[i]), float(ys[i]))
-        nodes.append(Node(id=i, pos=pos, energy=config.initial_energy,
-                          alive=True, region=locate(pos, fp)))
-    return nodes
+def deploy(config: SimConfig, fp: FieldPartition,
+           rng: np.random.Generator) -> tuple[list[float], list[float], list[int]]:
+    """Uniform random deployment over the field square: each node's x, y
+    and region id."""
+    xs = rng.uniform(0.0, config.field_length, config.node_count).tolist()
+    ys = rng.uniform(0.0, config.field_length, config.node_count).tolist()
+    return xs, ys, [locate(Point(x, y), fp) for x, y in zip(xs, ys)]
 
 
 def make_state(config: SimConfig) -> SimState:
     fp = build_partition(config.field_length, config.n_rings)
     rng = np.random.default_rng(config.seed)
-    nodes = deploy(config, fp, rng)
-    return SimState(config, fp, nodes, rng)
+    xs, ys, region = deploy(config, fp, rng)
+    n = config.node_count
+    return SimState(config, fp, rng, xs, ys, region,
+                    [config.initial_energy] * n, [True] * n)
 
 
 def summarize(config: SimConfig, series: list[RoundMetrics]) -> RunSummary:
@@ -138,9 +144,9 @@ def run(config: SimConfig) -> tuple[list[RoundMetrics], RunSummary]:
     """One full simulation: deploy, then play rounds until all nodes are
     dead or the round cap is reached.
 
-    `tests/reference.py` holds the scalar engine over `Node` objects that
-    this one must reproduce exactly: the same distance and `radio` calls,
-    draws and summation order.
+    `tests/reference.py` holds the scalar engine, over one object per node,
+    that this one must reproduce exactly: the same distance and `radio`
+    calls, draws and summation order.
     """
     state = make_state(config)
     rounds = Rounds(state)
@@ -157,32 +163,29 @@ def run(config: SimConfig) -> tuple[list[RoundMetrics], RunSummary]:
 
 
 def _planner(state: SimState, bs_distance: list[float]):
-    cfg = state.config
-    if cfg.protocol is ProtocolKind.DR:
-        return DrPlanner(state.fp, state.nodes, bs_distance)
-    if cfg.protocol is ProtocolKind.LEACH:
-        return LeachPlanner(state.nodes, cfg.ch_probability, state.rng)
-    return LeachCPlanner(state.nodes, cfg.ch_probability)
+    if state.config.protocol is ProtocolKind.DR:
+        return DrPlanner(state, bs_distance)
+    if state.config.protocol is ProtocolKind.LEACH:
+        return LeachPlanner(state)
+    return LeachCPlanner(state)
 
 
 class Rounds:
-    """The rounds of one run, played one at a time.
+    """The rounds of one run, played one at a time on `state`.
 
     What cannot change after deployment (distances and transmit costs to
     the BS, and the planner's region maps, rosters and distance matrices)
-    is built once, here. Energy and alive status live in the flat lists
-    `energy` and `alive`, indexed by node id, and `alive_ids` lists the
-    alive nodes in id order; `play` updates all three. Link costs come from
-    a per-run cache of scalar `radio.tx_energy` values.
+    is built once, here. `play` updates the state's `energy` and `alive`
+    lists in place, and `alive_ids` lists the alive nodes in id order. Link
+    costs come from a per-run cache of scalar `radio.tx_energy` values.
     """
 
     def __init__(self, state: SimState):
         cfg = state.config
         params, bits = cfg.radio, cfg.packet_bits
-        n = len(state.nodes)
-        xs = [nd.pos.x for nd in state.nodes]
-        ys = [nd.pos.y for nd in state.nodes]
-        bs_distance = [nd.pos.distance_to(cfg.bs) for nd in state.nodes]
+        xs, ys, bs = state.xs, state.ys, cfg.bs
+        n = len(xs)
+        bs_distance = [math.hypot(x - bs.x, y - bs.y) for x, y in zip(xs, ys)]
         bs_cost = [radio.tx_energy(params, bits, d) for d in bs_distance]
         link_costs: dict[int, float] = {}   # lower id * n + higher id -> tx energy
 
@@ -196,20 +199,19 @@ class Rounds:
                 cost = link_costs[key] = radio.tx_energy(params, bits, distance)
             return cost
 
+        self._state = state
         self._link = link
         self._params, self._bits = params, bits
         self._rx_unit = radio.rx_energy(params, bits)
         self._planner = _planner(state, bs_distance)
-        self.energy = [nd.energy for nd in state.nodes]
-        self.alive = [nd.alive for nd in state.nodes]
-        self.alive_ids = [nd.id for nd in state.nodes if nd.alive]
+        self.alive_ids = [i for i, alive in enumerate(state.alive) if alive]
 
     def play(self, round_index: int) -> tuple[IndexPlan, float, int]:
         """Plan and charge one round; returns the plan, the energy spent and
         the packets that reached the BS."""
         link, params, bits, rx_unit = self._link, self._params, self._bits, self._rx_unit
-        energy, alive = self.energy, self.alive
-        plan = self._planner.plan(round_index, self.alive_ids, alive, energy)
+        energy, alive = self._state.energy, self._state.alive
+        plan = self._planner.plan(round_index, self.alive_ids)
         members, dests, chs, next_hops = plan
         received = dict.fromkeys(chs, 0)
         for dest in dests:

@@ -2,12 +2,16 @@
 
 It plans each round over `Node` objects (`RoundPlan` dicts keyed by node id,
 ``None`` for the base station) and charges it with `run_round`, which
-updates the nodes' energy and alive status in place. `reference_run` loops
-the two over `sim.make_state` and must give exactly the series and summary
-of `sim.run` (`==` on floats). That holds only if both engines take
-distances from `math.hypot`, link costs from the scalar `radio.tx_energy`,
-the same random draws, the lowest id among ties, and the same summation
-order: members in id order, then CHs in the order `ch_next_hop` holds them.
+updates the nodes' energy and alive status in place. Its `SimState` holds
+the nodes that `make_state` builds from `sim.make_state`'s lists, with the
+same deployment and generator. `reference_run` loops the two over it and
+must give exactly the series and summary of `sim.run` (`==` on floats).
+That holds only if both engines take distances from `math.hypot`, link
+costs from the scalar `radio.tx_energy`, the same random draws, the lowest
+id among ties, and the same summation order: members in id order, then CHs
+in the order `ch_next_hop` holds them. The reference ranks each region's
+nodes with its own `_region_rosters`, so it checks the production ranking
+instead of sharing it.
 
 `run_round` also has the switches that the analytic cross-check needs and
 production does not: a constant link length, per-signal forwarding and a
@@ -23,15 +27,62 @@ from typing import Optional
 import numpy as np
 
 from drsim import radio, sim
-from drsim.geometry import FieldPartition, RegionKind, cr_neighbor_ncrs, inward_adjacent_ncr
-from drsim.protocols import (
-    DISTANCE_TIE_EPS,
-    Node,
-    ProtocolKind,
-    _above_mean,
-    _region_rosters,
+from drsim.geometry import (
+    FieldPartition,
+    Point,
+    RegionKind,
+    cr_neighbor_ncrs,
+    inward_adjacent_ncr,
 )
-from drsim.sim import RoundMetrics, SimState, summarize
+from drsim.protocols import DISTANCE_TIE_EPS, ProtocolKind, _above_mean
+from drsim.sim import RoundMetrics, SimConfig, summarize
+
+
+@dataclass
+class Node:
+    id: int
+    pos: Point
+    energy: float
+    alive: bool
+    region: int
+
+
+@dataclass
+class SimState:
+    config: SimConfig
+    fp: FieldPartition
+    nodes: list[Node]
+    rng: np.random.Generator
+
+    def alive_count(self) -> int:
+        return sum(1 for nd in self.nodes if nd.alive)
+
+
+def as_nodes(xs, ys, region, energy, alive) -> list[Node]:
+    """One `Node` per id of the per-node lists."""
+    return [Node(i, Point(x, y), e, a, r)
+            for i, (x, y, r, e, a) in enumerate(zip(xs, ys, region, energy, alive))]
+
+
+def make_state(config: SimConfig) -> SimState:
+    """`sim.make_state`'s deployment and generator, as `Node` objects."""
+    state = sim.make_state(config)
+    nodes = as_nodes(state.xs, state.ys, state.region, state.energy, state.alive)
+    return SimState(config, state.fp, nodes, state.rng)
+
+
+def _region_rosters(fp: FieldPartition, nodes: list[Node]) -> dict[int, list[Node]]:
+    """Full per-NCR rosters (alive and dead), distance-ranked to the region
+    midpoint, ties by node id. Only non-central NCRs host CHs."""
+    rosters: dict[int, list[Node]] = {}
+    for node in nodes:
+        region = fp.region(node.region)
+        if region.kind is RegionKind.NON_CORNER:
+            rosters.setdefault(region.id, []).append(node)
+    for region_id, members in rosters.items():
+        mid = fp.region(region_id).midpoint
+        members.sort(key=lambda nd: (nd.pos.distance_to(mid), nd.id))
+    return rosters
 
 
 @dataclass(frozen=True)
@@ -295,7 +346,7 @@ def run_round(state: SimState, plan: RoundPlan, *,
 
 
 def reference_run(config):
-    state = sim.make_state(config)
+    state = make_state(config)
     leach_state = LeachState(config.ch_probability, state.rng)
     series = []
     cumulative = 0.0

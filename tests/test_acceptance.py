@@ -13,9 +13,9 @@ import pytest
 from drsim import analytic, radio
 from drsim.cli import main
 from drsim.geometry import Point, RegionKind, build_partition, locate
-from drsim.protocols import Node, ProtocolKind
-from drsim.sim import Rounds, SimConfig, SimState, experiment, make_state, run
-from reference import RoundPlan, dr_build_plan, run_round
+from drsim.protocols import ProtocolKind
+from drsim.sim import Rounds, SimConfig, experiment, make_state, run
+from reference import Node, RoundPlan, SimState, dr_build_plan, run_round
 
 
 def report(number, name, ok, detail=""):
@@ -69,9 +69,9 @@ def test_c3_fixed_ch_count():
                    if r.kind is RegionKind.NON_CORNER]
         for round_index in range(1, state.config.max_rounds + 1):
             alive_per_ncr = {rid: 0 for rid in ncr_ids}
-            for nd in state.nodes:
-                if rounds.alive[nd.id] and nd.region in alive_per_ncr:
-                    alive_per_ncr[nd.region] += 1
+            for i, region_id in enumerate(state.region):
+                if state.alive[i] and region_id in alive_per_ncr:
+                    alive_per_ncr[region_id] += 1
             if min(alive_per_ncr.values()) == 0 or not rounds.alive_ids:
                 break
             plan, _, _ = rounds.play(round_index)
@@ -99,14 +99,15 @@ def test_c5_energy_ledger():
     ok = True
     for kind in (ProtocolKind.DR, ProtocolKind.LEACH, ProtocolKind.LEACH_C):
         cfg = SimConfig(seed=1, protocol=kind)
-        rounds = Rounds(make_state(cfg))
+        state = make_state(cfg)
+        rounds = Rounds(state)
         cumulative = 0.0
         for round_index in range(1, cfg.max_rounds + 1):
             if not rounds.alive_ids:
                 break
-            before = list(rounds.energy)
+            before = list(state.energy)
             _, spent, _ = rounds.play(round_index)
-            decrease = sum(b - a for b, a in zip(before, rounds.energy))
+            decrease = sum(b - a for b, a in zip(before, state.energy))
             ok &= abs(spent - decrease) <= 1e-12
             cumulative += spent
         ok &= cumulative <= cfg.node_count * cfg.initial_energy + 1e-12
@@ -209,13 +210,12 @@ def test_c7_single_node_oracle():
     for seed in range(100):
         cfg = SimConfig(node_count=1, seed=seed, max_rounds=20000)
         state = make_state(cfg)
-        node = state.nodes[0]
-        if state.fp.region(node.region).kind is RegionKind.CENTRAL:
+        if state.fp.region(state.region[0]).kind is RegionKind.CENTRAL:
             break
     else:
         pytest.fail("no seed placed the single node centrally")
     per_round = radio.tx_energy(cfg.radio, cfg.packet_bits,
-                                node.pos.distance_to(cfg.bs))
+                                Point(state.xs[0], state.ys[0]).distance_to(cfg.bs))
     expected = math.floor(cfg.initial_energy / per_round)
     _, summary = run(cfg)
     ok = abs(summary.lnd - expected) <= 1

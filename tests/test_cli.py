@@ -151,6 +151,17 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert not (out / "run.csv").exists()
 
+    @pytest.mark.parametrize("n_rings", [2, 8])
+    def test_analytic_rejects_other_ring_counts(self, tmp_path, capsys, n_rings):
+        out = tmp_path / "out"
+        assert main(["analytic", "--out", str(out),
+                     "--set", f"n_rings={n_rings}"]) == 2
+        err = capsys.readouterr().err
+        assert "n_rings" in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "analytic.csv").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["--set", "node_count=20", "--set", "max_rounds=40",
                 "--set", "initial_energy=0.02", "--set", "seed=77"]

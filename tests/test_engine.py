@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from drsim import sim
 from drsim.geometry import Point, locate
-from drsim.protocols import BS, Node, ProtocolKind
+from drsim.protocols import BS, ProtocolKind
 from drsim.sim import Rounds, SimConfig, make_state, run
 from reference import reference_run
 
@@ -81,12 +81,9 @@ def lattice_deploy(config, fp, rng):
     0.03 J, their computed mean rounds above them)."""
     side = math.ceil(math.sqrt(config.node_count))
     step = max(side - 1, 1)
-    nodes = []
-    for i in range(config.node_count):
-        pos = Point((i % side) * config.field_length / step,
-                    (i // side) * config.field_length / step)
-        nodes.append(Node(i, pos, config.initial_energy, True, locate(pos, fp)))
-    return nodes
+    xs = [(i % side) * config.field_length / step for i in range(config.node_count)]
+    ys = [(i // side) * config.field_length / step for i in range(config.node_count)]
+    return xs, ys, [locate(Point(x, y), fp) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
@@ -131,16 +128,21 @@ def test_plans_are_well_formed(node_count, n_rings, initial_energy,
     ring_of = None
     if kind is ProtocolKind.DR:
         def ring_of(i):
-            return state.fp.region(state.nodes[i].region).ring
+            return state.fp.region(state.region[i]).ring
     rounds = Rounds(state)
     for round_index in range(1, config.max_rounds + 1):
         if not rounds.alive_ids:
             break
         alive_ids = list(rounds.alive_ids)
-        plan, _, _ = rounds.play(round_index)
+        before = list(state.energy)
+        plan, spent, _ = rounds.play(round_index)
         assert_well_formed(plan, alive_ids, ring_of)
+        decrease = sum(b - a for b, a in zip(before, state.energy))
+        assert spent == pytest.approx(decrease, abs=1e-12)
+        assert state.alive_count() == len(rounds.alive_ids)
 
     series, summary = run(config)
     assert summary.fnd <= summary.hnd <= summary.lnd
     alives = [m.alive for m in series]
     assert all(a >= b for a, b in zip([node_count] + alives, alives))
+    assert run(config) == (series, summary)

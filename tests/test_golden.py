@@ -9,6 +9,10 @@ to last death):
     drsim compare --set node_count=40 --set initial_energy=0.05 \\
         --set seed=3 --set runs=3                -> experiment.csv
 
+and the closed-form sweep at the defaults:
+
+    drsim analytic                               -> analytic.csv
+
 Re-record them only for an intended change of the model's output.
 """
 
@@ -36,3 +40,9 @@ def test_experiment_csv_matches_golden(tmp_path):
                  "--set", "runs=3"]) == 0
     expected = (GOLDEN / "experiment.csv").read_bytes()
     assert (tmp_path / "experiment.csv").read_bytes() == expected
+
+
+def test_analytic_csv_matches_golden(tmp_path):
+    assert main(["analytic", "--out", str(tmp_path)]) == 0
+    expected = (GOLDEN / "analytic.csv").read_bytes()
+    assert (tmp_path / "analytic.csv").read_bytes() == expected

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from drsim.geometry import Point, RegionKind, build_partition, cr_neighbor_ncrs, locate
-from drsim.protocols import Node
 from drsim.sim import SimConfig, deploy
 from reference import (
     LeachState,
+    Node,
+    as_nodes,
     dr_build_plan,
     dr_select_chs,
     leach_build_plan,
@@ -28,7 +29,8 @@ def make_node(node_id, x, y, fp, energy=0.5, alive=True):
 
 def deployed_nodes(fp, seed=42, count=100):
     cfg = SimConfig(node_count=count, seed=seed)
-    return deploy(cfg, fp, np.random.default_rng(seed))
+    xs, ys, region = deploy(cfg, fp, np.random.default_rng(seed))
+    return as_nodes(xs, ys, region, [cfg.initial_energy] * count, [True] * count)
 
 
 class TestDrChSelection:

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drsim.geometry import RegionKind, build_partition
+from drsim.geometry import Point, RegionKind, build_partition
 from drsim.protocols import ProtocolKind
 from drsim.radio import tx_energy
 from drsim.sim import Rounds, SimConfig, deploy, experiment, make_state, run, summarize
+import reference
 from reference import build_plan, run_round
 
 
@@ -28,10 +29,10 @@ class TestDeploy:
     def test_region_populations_proportional_to_area(self):
         cfg = SimConfig(node_count=10000, seed=99)
         fp = build_partition(cfg.field_length, cfg.n_rings)
-        nodes = deploy(cfg, fp, np.random.default_rng(cfg.seed))
+        _, _, region = deploy(cfg, fp, np.random.default_rng(cfg.seed))
         counts = {r.id: 0 for r in fp.regions}
-        for nd in nodes:
-            counts[nd.region] += 1
+        for region_id in region:
+            counts[region_id] += 1
         total_area = cfg.field_length ** 2
         for region in fp.regions:
             p = region.bounds.area / total_area
@@ -46,21 +47,22 @@ class TestDeploy:
 
     def test_all_nodes_start_at_initial_energy(self):
         state = make_state(SimConfig(seed=3, initial_energy=0.25))
-        assert all(nd.energy == 0.25 and nd.alive for nd in state.nodes)
+        assert all(e == 0.25 and a for e, a in zip(state.energy, state.alive))
 
 
 class TestRunRound:
     def test_energy_conservation_identity(self):
         for kind in ProtocolKind:
-            rounds = Rounds(make_state(small_config(protocol=kind)))
+            state = make_state(small_config(protocol=kind))
+            rounds = Rounds(state)
             for r in range(1, 101):
-                before = list(rounds.energy)
+                before = list(state.energy)
                 _, spent, _ = rounds.play(r)
-                decrease = sum(b - a for b, a in zip(before, rounds.energy))
+                decrease = sum(b - a for b, a in zip(before, state.energy))
                 assert spent == pytest.approx(decrease, abs=1e-12)
 
     def test_dead_network_round_is_empty(self):
-        state = make_state(small_config())
+        state = reference.make_state(small_config())
         for nd in state.nodes:
             nd.alive = False
             nd.energy = 0.0
@@ -75,13 +77,12 @@ class TestRunRound:
         for seed in range(100):
             cfg = SimConfig(node_count=1, seed=seed, max_rounds=20000)
             state = make_state(cfg)
-            node = state.nodes[0]
-            if state.fp.region(node.region).kind is RegionKind.CENTRAL:
+            if state.fp.region(state.region[0]).kind is RegionKind.CENTRAL:
                 break
         else:
             pytest.fail("no seed placed the single node centrally")
         per_round = tx_energy(cfg.radio, cfg.packet_bits,
-                              node.pos.distance_to(cfg.bs))
+                              Point(state.xs[0], state.ys[0]).distance_to(cfg.bs))
         expected = math.floor(cfg.initial_energy / per_round)
         series, summary = run(cfg)
         assert abs(summary.lnd - expected) <= 1
