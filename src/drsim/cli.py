@@ -18,9 +18,8 @@ import sys
 import tempfile
 
 from . import analytic, radio, sim
-from .config import ConfigError, parse_config
-from .geometry import GeometryError, build_partition
-from .radio import RadioError
+from .config import parse_config
+from .geometry import build_partition
 
 
 def _write_atomic(path: str, body: str):
@@ -181,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(args.config, args.set)
         _prepare_out_dir(args.out)
         return _COMMANDS[args.command](config, args.out)
-    except (ConfigError, GeometryError, RadioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"drsim: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,7 +1,11 @@
 """Flat key = value experiment configuration.
 
-Every key is optional; omitted keys take the defaults below (the evaluation
-setup: 100 nodes on a 100 m x 100 m field, BS at the center, n = 3, 4000-bit
+The keys are the fields of `SimConfig` (all but `radio`) and of
+`RadioParams`. Each value is converted by the type of its field's default
+(`int`, `float`, or a protocol name), and the two dataclasses check every
+range. This module only parses and says where a bad line is. Every key is
+optional; omitted keys take the dataclass defaults (the evaluation setup:
+100 nodes on a 100 m x 100 m field, BS at the center, n = 3, 4000-bit
 packets). Unknown keys are rejected rather than ignored. '#' starts a
 comment. The initial energy of 0.5 J/node and the 4000-bit packet are
 conventional values for this radio parameter set, not prescribed ones.
@@ -9,7 +13,7 @@ conventional values for this radio parameter set, not prescribed ones.
 
 from __future__ import annotations
 
-import math
+from dataclasses import fields
 
 from .protocols import ProtocolKind
 from .radio import RadioParams
@@ -25,35 +29,17 @@ def _parse_protocol(text: str) -> ProtocolKind:
         return ProtocolKind(text.strip().lower())
     except ValueError:
         valid = ", ".join(k.value for k in ProtocolKind)
-        raise ConfigError(f"unknown protocol {text!r} (expected one of: {valid})")
+        raise ValueError(f"unknown protocol {text!r} (expected one of: {valid})")
 
 
-def _positive(kind, name):
-    def convert(text: str):
-        value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be positive, got {value}")
-        return value
-    return convert
+def _converters(cls, skip=()) -> dict:
+    return {f.name: _parse_protocol if isinstance(f.default, ProtocolKind) else type(f.default)
+            for f in fields(cls) if f.name not in skip}
 
 
-# key -> (SimConfig field path, converter)
-_KEYS = {
-    "field_length": ("field_length", _positive(float, "field_length")),
-    "n_rings": ("n_rings", _positive(int, "n_rings")),
-    "node_count": ("node_count", _positive(int, "node_count")),
-    "initial_energy": ("initial_energy", _positive(float, "initial_energy")),
-    "packet_bits": ("packet_bits", _positive(int, "packet_bits")),
-    "protocol": ("protocol", _parse_protocol),
-    "ch_probability": ("ch_probability", float),
-    "max_rounds": ("max_rounds", _positive(int, "max_rounds")),
-    "seed": ("seed", int),
-    "runs": ("runs", _positive(int, "runs")),
-    "e_elec": ("radio.e_elec", _positive(float, "e_elec")),
-    "e_fs": ("radio.e_fs", _positive(float, "e_fs")),
-    "e_mp": ("radio.e_mp", _positive(float, "e_mp")),
-    "e_da": ("radio.e_da", _positive(float, "e_da")),
-}
+_RADIO_KEYS = _converters(RadioParams)
+# key -> converter, for every key a config may set
+KEYS = _converters(SimConfig, skip=("radio",)) | _RADIO_KEYS
 
 
 def _parse_line(line: str, where: str) -> tuple[str, object] | None:
@@ -64,16 +50,13 @@ def _parse_line(line: str, where: str) -> tuple[str, object] | None:
         raise ConfigError(f"{where}: expected 'key = value', got {stripped!r}")
     key, _, raw = stripped.partition("=")
     key, raw = key.strip(), raw.strip()
-    if key not in _KEYS:
+    if key not in KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     if not raw:
         raise ConfigError(f"{where}: missing value for {key!r}")
-    _, convert = _KEYS[key]
     try:
-        return key, convert(raw)
-    except ConfigError:
-        raise
-    except (ValueError, OverflowError) as exc:   # OverflowError: an int past float range
+        return key, KEYS[key](raw)
+    except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}")
 
 
@@ -96,17 +79,9 @@ def parse_config(path: str | None, overrides: list[str] = ()) -> SimConfig:
             raise ConfigError(f"override #{i}: empty override {override!r}")
         values[parsed[0]] = parsed[1]
 
-    plain = {}
-    radio_kwargs = {}
-    for key, value in values.items():
-        target, _ = _KEYS[key]
-        if target.startswith("radio."):
-            radio_kwargs[target.removeprefix("radio.")] = value
-        else:
-            plain[target] = value
+    radio = {k: v for k, v in values.items() if k in _RADIO_KEYS}
+    plain = {k: v for k, v in values.items() if k not in _RADIO_KEYS}
     try:
-        if radio_kwargs:
-            plain["radio"] = RadioParams(**radio_kwargs)
-        return SimConfig(**plain)
+        return SimConfig(**plain, radio=RadioParams(**radio))
     except ValueError as exc:
         raise ConfigError(str(exc))

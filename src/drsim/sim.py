@@ -15,8 +15,32 @@ from .geometry import FieldPartition, Point, build_partition, locate
 from .protocols import BS, DrPlanner, IndexPlan, LeachCPlanner, LeachPlanner, ProtocolKind
 
 
+# Inclusive bounds of the integer keys. The upper limits bound what one
+# config can make a run allocate or play, and are checked before anything is
+# allocated. The cost at each limit, computed from the code:
+# - node_count: LEACH and LEACH-C each hold an N x N float64 matrix, 800 MB
+#   at 10,000 nodes; LEACH-C copies it to the alive nodes after a death, and
+#   the per-run link-cost cache can reach N(N-1)/2 = 5e7 entries.
+# - n_rings: 8n-7 = 793 regions at 100 rings, scanned once per node to
+#   locate it; DR elects a CH in each of the 4(n-1) = 396 non-corner regions.
+# - max_rounds: `run` keeps one RoundMetrics per round, and `drsim run` writes
+#   one CSV row of about 50 bytes per round: about 50 MB at 1,000,000 rounds.
+# - runs: `drsim compare` plays 3 x runs runs of up to max_rounds rounds each,
+#   30,000 runs at the limit.
+INT_BOUNDS = {
+    "node_count": (1, 10_000),
+    "n_rings": (2, 100),
+    "packet_bits": (1, math.inf),
+    "max_rounds": (1, 1_000_000),
+    "seed": (0, math.inf),
+    "runs": (1, 10_000),
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """One experiment's settings. Every config key is a field here or in
+    `radio.RadioParams`, and both validate their own fields."""
     field_length: float = 100.0
     n_rings: int = 3
     node_count: int = 100
@@ -30,18 +54,15 @@ class SimConfig:
     radio: radio.RadioParams = field(default_factory=radio.RadioParams)
 
     def __post_init__(self):
-        if self.node_count <= 0:
-            raise ValueError(f"node_count must be positive, got {self.node_count}")
-        if self.max_rounds <= 0:
-            raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
+        for name, (low, high) in INT_BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                bound = f"at least {low}" if high == math.inf else f"in {low}..{high}"
+                raise ValueError(f"{name} must be {bound}, got {value}")
         if not (math.isfinite(self.initial_energy) and self.initial_energy > 0):
             raise ValueError(f"initial_energy must be positive, got {self.initial_energy}")
         if not (math.isfinite(self.field_length) and self.field_length > 0):
             raise ValueError(f"field_length must be positive, got {self.field_length}")
-        if self.n_rings < 2:
-            raise ValueError(f"n_rings must be at least 2, got {self.n_rings}")
-        if self.packet_bits <= 0:
-            raise ValueError(f"packet_bits must be positive, got {self.packet_bits}")
         # LEACH's epoch is int(1 / p), which must exist.
         if not (0 < self.ch_probability < 1
                 and math.isfinite(1 / self.ch_probability)):
@@ -257,9 +278,6 @@ class ExperimentResult:
 def experiment(config: SimConfig) -> ExperimentResult:
     """Run every protocol over `runs` derived seeds (base seed + run index)
     and aggregate stability / lifetime / throughput statistics."""
-    if config.runs < 1:
-        raise ValueError(f"runs must be at least 1, got {config.runs}")
-
     rows = []
     per_protocol: dict[ProtocolKind, list[RunSummary]] = {}
     for kind in EXPERIMENT_PROTOCOLS:

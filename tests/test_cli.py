@@ -3,9 +3,28 @@ import os
 import pytest
 
 from drsim.cli import main
-from drsim.config import ConfigError, parse_config
+from drsim.config import KEYS, ConfigError, parse_config
 from drsim.protocols import ProtocolKind
-from drsim.sim import SimConfig
+from drsim.sim import INT_BOUNDS, SimConfig
+
+# Every config key, with a non-default value as text and as parsed.
+KEY_VALUES = [
+    ("field_length", "200", 200.0),
+    ("n_rings", "4", 4),
+    ("node_count", "60", 60),
+    ("initial_energy", "0.25", 0.25),
+    ("packet_bits", "2000", 2000),
+    ("protocol", "LEACH-C", ProtocolKind.LEACH_C),
+    ("ch_probability", "0.1", 0.1),
+    ("max_rounds", "700", 700),
+    ("seed", "0", 0),
+    ("runs", "7", 7),
+    ("e_elec", "40e-9", 40e-9),
+    ("e_fs", "12e-12", 12e-12),
+    ("e_mp", "0.002e-12", 0.002e-12),
+    ("e_da", "4e-9", 4e-9),
+]
+RADIO_KEYS = ("e_elec", "e_fs", "e_mp", "e_da")
 
 
 class TestParseConfig:
@@ -68,6 +87,18 @@ class TestParseConfig:
     def test_bad_protocol_name(self):
         with pytest.raises(ConfigError, match="unknown protocol"):
             parse_config(None, ["protocol=teen"])
+
+    @pytest.mark.parametrize("key,text,value", KEY_VALUES)
+    def test_every_key_round_trips(self, key, text, value):
+        # A renamed dataclass field renames a key: that must fail here.
+        assert list(KEYS) == [k for k, _, _ in KEY_VALUES]
+        default = SimConfig()
+        cfg = parse_config(None, [f"{key}={text}"])
+        if key in RADIO_KEYS:
+            default, cfg = default.radio, cfg.radio
+        assert getattr(default, key) != value
+        assert getattr(cfg, key) == value
+        assert type(getattr(cfg, key)) is type(value)
 
 
 class TestCli:
@@ -141,6 +172,14 @@ class TestCli:
         # finite, but a node's cost per round is not
         "field_length=1e200", "e_mp=1e300", "e_da=1e306",
         pytest.param("node_count=" + "9" * 400, id="node_count=9x400"),
+        pytest.param("n_rings=" + "9" * 400, id="n_rings=9x400"),
+        pytest.param("max_rounds=" + "9" * 400, id="max_rounds=9x400"),
+        pytest.param("runs=" + "9" * 400, id="runs=9x400"),
+        pytest.param("packet_bits=" + "9" * 400, id="packet_bits=9x400"),
+        "seed=-1",
+        # one past each resource limit
+        *(f"{name}={high + 1}" for name, (_, high) in INT_BOUNDS.items()
+          if high != float("inf")),
     ])
     def test_non_finite_values_exit_2(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
@@ -150,6 +189,7 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert not (out / "run.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_rings", [2, 8])
     def test_analytic_rejects_other_ring_counts(self, tmp_path, capsys, n_rings):

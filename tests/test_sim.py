@@ -7,7 +7,7 @@ import pytest
 from drsim.geometry import Point, RegionKind, build_partition
 from drsim.protocols import ProtocolKind
 from drsim.radio import tx_energy
-from drsim.sim import Rounds, SimConfig, deploy, experiment, make_state, run, summarize
+from drsim.sim import INT_BOUNDS, Rounds, SimConfig, deploy, experiment, make_state, run, summarize
 import reference
 from reference import build_plan, run_round
 
@@ -180,6 +180,19 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    # The largest value of each that a test or benchmark workload uses.
+    @pytest.mark.parametrize("name,used", [
+        ("node_count", 10000), ("n_rings", 8), ("max_rounds", 20000), ("runs", 50),
+    ])
+    def test_resource_limits(self, name, used):
+        # Only constructs the configs: running one at a limit would allocate
+        # what the limit is there to bound.
+        _, high = INT_BOUNDS[name]
+        assert used <= high < float("inf")
+        assert getattr(SimConfig(**{name: high}), name) == high
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: high + 1})
 
     def test_default_bs_is_field_center(self):
         cfg = SimConfig()
