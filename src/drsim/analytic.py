@@ -13,6 +13,7 @@ forwarding: `run_round(..., compress=False)` of the reference engine in
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -33,8 +34,8 @@ class AnalyticInputs:
     phi: float                            # J aggregation charge per CH per round
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be non-negative, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and non-negative, got {self.rho}")
         if self.d <= 0:
             raise ValueError(f"d must be positive, got {self.d}")
         if not 0 <= self.p_cr <= 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 import tempfile
@@ -122,7 +123,13 @@ def cmd_analytic(config, out_dir: str) -> int:
     if config.n_rings != 3:
         raise ValueError(f"analytic models exactly 3 concentric squares, "
                          f"got n_rings={config.n_rings}")
-    rho = config.node_count / config.field_length ** 2
+    area = config.field_length ** 2
+    rho = config.node_count / area if area > 0 else math.inf
+    too_small = (f"field_length={config.field_length} is too small for the "
+                 f"closed forms: the density node_count / field_length^2 = "
+                 f"{rho} makes them overflow")
+    if not math.isfinite(rho):
+        raise ValueError(too_small)
     d = config.field_length / (2 * config.n_rings)
     bits = config.packet_bits
     params = config.radio
@@ -141,9 +148,12 @@ def cmd_analytic(config, out_dir: str) -> int:
         e_cr = 8 * analytic.e_corner_regions(inputs(0.0), d)
         e_ms = analytic.e_middle_square_total(inputs(phi_ms), d)
         e_os = analytic.e_outer_square_total(inputs(phi_os), d)
+        e_total = e_is + e_cr + e_ms + e_os
+        if not math.isfinite(e_total):
+            raise ValueError(too_small)
         rows.append([f"{rho:.6g}", f"{d:.6f}", f"{p_cr:.2f}",
                      f"{e_is:.9e}", f"{e_cr:.9e}", f"{e_ms:.9e}",
-                     f"{e_os:.9e}", f"{e_is + e_cr + e_ms + e_os:.9e}"])
+                     f"{e_os:.9e}", f"{e_total:.9e}"])
     _write_atomic(os.path.join(out_dir, "analytic.csv"),
                   _csv(["rho", "d", "P", "e_is", "e_cr", "e_ms", "e_os",
                         "e_total"], rows))

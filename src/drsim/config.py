@@ -68,11 +68,19 @@ def parse_config(path: str | None, overrides: list[str] = ()) -> SimConfig:
     """
     values: dict[str, object] = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parsed = _parse_line(line, f"{path}:{lineno}")
-                if parsed:
-                    values[parsed[0]] = parsed[1]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # bytes.splitlines breaks at \n, \r\n and \r, as text mode does.
+        for lineno, raw in enumerate(data.splitlines(), start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{where}: not UTF-8 text: byte {exc.start + 1} "
+                                  f"of the line is {raw[exc.start:exc.start + 1]!r}")
+            parsed = _parse_line(line, where)
+            if parsed:
+                values[parsed[0]] = parsed[1]
     for i, override in enumerate(overrides, start=1):
         parsed = _parse_line(override, f"override #{i}")
         if parsed is None:

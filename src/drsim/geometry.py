@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -207,19 +208,36 @@ def cr_neighbor_ncrs(region_id: int, fp: FieldPartition) -> list[int]:
 
 def distance_matrix(xs: list[float], ys: list[float]) -> np.ndarray:
     """N x N matrix of the distances between the points (xs[i], ys[i]), the
-    same `math.hypot` floats as `Point.distance_to`, built one row at a time
-    so that no N^2 Python floats exist."""
-    out = np.empty((len(xs), len(xs)))
-    for i, (x0, y0) in enumerate(zip(xs, ys)):
-        out[i] = [math.hypot(x0 - x, y0 - y) for x, y in zip(xs, ys)]
+    same floats as `math.hypot(xs[i] - xs[j], ys[i] - ys[j])`: `math.dist`
+    takes the same norm of the same absolute differences, and |a - b| is
+    |b - a|. Only the upper triangle is computed; each row's lower part is
+    copied from the columns above it."""
+    points = list(zip(xs, ys))
+    n = len(points)
+    out = np.empty((n, n))
+    for i, p in enumerate(points):
+        out[i, i:] = np.fromiter(map(math.dist, repeat(p), points[i:]), float, n - i)
+        out[i, :i] = out[:i, i]
     return out
+
+
+_BLOCK_ROWS = 32    # rows of squared_distance_matrix computed per numpy call
 
 
 def squared_distance_matrix(xs: list[float], ys: list[float]) -> np.ndarray:
     """N x N matrix of squared distances with numpy arithmetic, dx*dx + dy*dy:
-    the values LEACH-C's greedy placement compares."""
-    pos = np.column_stack((xs, ys))
-    out = np.empty((len(xs), len(xs)))
-    for i in range(len(xs)):
-        out[i] = ((pos[i] - pos) ** 2).sum(axis=1)
+    the values LEACH-C's greedy placement compares. Built in blocks of rows,
+    in place, so that no N x N temporary exists."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    n = len(x)
+    out = np.empty((n, n))
+    dy = np.empty((min(n, _BLOCK_ROWS), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        rows, dy_rows = out[start:stop], dy[:stop - start]
+        np.subtract(x[start:stop, None], x, out=rows)
+        np.multiply(rows, rows, out=rows)
+        np.subtract(y[start:stop, None], y, out=dy_rows)
+        np.multiply(dy_rows, dy_rows, out=dy_rows)
+        rows += dy_rows
     return out

@@ -200,14 +200,20 @@ class LeachCPlanner:
         candidates = _above_mean(energies)
         k = min(max(1, round(self.p * len(alive_ids))), len(candidates))
         chosen: list[int] = []
+        taken: list[int] = []       # positions in `candidates` already chosen
         cost = np.full(len(alive_ids), np.inf)
-        remaining = candidates
+        # Each total is the sum of one whole contiguous row of length A, the
+        # same float whichever rows sit beside it; never pad or split a row.
+        rows = d2[candidates]
+        block = np.empty_like(rows)
         for _ in range(k):
-            totals = np.minimum(cost[None, :], d2[remaining]).sum(axis=1)
-            j = int(np.argmin(totals))  # ties: lowest node id
-            chosen.append(int(remaining[j]))
-            cost = np.minimum(cost, d2[chosen[-1]])
-            remaining = np.delete(remaining, j)
+            totals = np.minimum(cost, rows, out=block).sum(axis=1)
+            totals[taken] = np.inf
+            j = int(np.argmin(totals))  # ties: lowest position, so lowest node id
+            taken.append(j)
+            chosen.append(int(candidates[j]))
+            cost = np.minimum(cost, rows[j])
+        del rows, block     # the peak stays at the 2 R x A floats of one step
 
         # CHs are charged in this set's order; the goldens depend on it.
         ch_ids = {alive_ids[c] for c in chosen}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,9 @@ from .protocols import BS, DrPlanner, IndexPlan, LeachCPlanner, LeachPlanner, Pr
 # allocated. The cost at each limit, computed from the code:
 # - node_count: LEACH and LEACH-C each hold an N x N float64 matrix, 800 MB
 #   at 10,000 nodes; LEACH-C copies it to the alive nodes after a death, and
-#   the per-run link-cost cache can reach N(N-1)/2 = 5e7 entries.
+#   its greedy placement holds two R x A float64 blocks per round (R above-
+#   mean candidates, A alive nodes): up to 1.6 GB at 10,000 nodes. The
+#   per-run link-cost cache can reach N(N-1)/2 = 5e7 entries.
 # - n_rings: 8n-7 = 793 regions at 100 rings, scanned once per node to
 #   locate it; DR elects a CH in each of the 4(n-1) = 396 non-corner regions.
 # - max_rounds: `run` keeps one RoundMetrics per round, and `drsim run` writes
@@ -63,6 +66,14 @@ class SimConfig:
             raise ValueError(f"initial_energy must be positive, got {self.initial_energy}")
         if not (math.isfinite(self.field_length) and self.field_length > 0):
             raise ValueError(f"field_length must be positive, got {self.field_length}")
+        # Below the smallest normal float the partition's ring offsets
+        # L * k / (2n) can round to one value (or to 0) and a region vanishes.
+        step = self.field_length / (2 * self.n_rings)
+        if step < sys.float_info.min:
+            raise ValueError(
+                f"field_length={self.field_length} is too small for n_rings="
+                f"{self.n_rings}: the partition step L / (2 n_rings) = {step} "
+                f"is below {sys.float_info.min}")
         # LEACH's epoch is int(1 / p), which must exist.
         if not (0 < self.ch_probability < 1
                 and math.isfinite(1 / self.ch_probability)):

@@ -171,6 +171,8 @@ class TestCli:
         "ch_probability=nan", "ch_probability=1e-320",
         # finite, but a node's cost per round is not
         "field_length=1e200", "e_mp=1e300", "e_da=1e306",
+        # the partition step L / (2 n_rings) is 0, or not a normal float
+        "field_length=5e-324", "field_length=1e-307",
         pytest.param("node_count=" + "9" * 400, id="node_count=9x400"),
         pytest.param("n_rings=" + "9" * 400, id="n_rings=9x400"),
         pytest.param("max_rounds=" + "9" * 400, id="max_rounds=9x400"),
@@ -201,6 +203,30 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert not (out / "analytic.csv").exists()
+
+    # N / L^2 overflows at 1e-155, L^2 is 0 at 1e-170, and at 1e-153 the
+    # density is finite but the closed forms overflow.
+    @pytest.mark.parametrize("field_length", ["1e-155", "1e-170", "1e-153"])
+    def test_analytic_rejects_tiny_fields(self, tmp_path, capsys, field_length):
+        out = tmp_path / "out"
+        assert main(["analytic", "--out", str(out),
+                     "--set", f"field_length={field_length}"]) == 2
+        err = capsys.readouterr().err
+        assert "field_length" in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "analytic.csv").exists()
+
+    def test_config_file_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"node_count = 20\r\n# caf\xc3\xa9\nseed = \xff\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3:" in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["--set", "node_count=20", "--set", "max_rounds=40",

@@ -13,9 +13,11 @@ from drsim.geometry import (
     RegionKind,
     build_partition,
     cr_neighbor_ncrs,
+    distance_matrix,
     inward_adjacent_ncr,
     locate,
     square_corners,
+    squared_distance_matrix,
 )
 
 
@@ -233,6 +235,41 @@ def test_partition_tiles_the_field(field_length, n, fractions):
     for u, v in fractions:
         p = Point(u * field_length, v * field_length)
         assert fp.region(locate(p, fp)).bounds.contains(p)
+
+
+# Coordinates log-uniform from the smallest subnormal to 1e150, or a
+# fraction of one such scale per example, so that points of one magnitude
+# meet as often as points far apart in magnitude; N from 0 to 70 crosses the
+# 32-row blocks of `squared_distance_matrix`.
+_LOG_UNIFORM = st.floats(math.log(5e-324), math.log(1e150)).map(math.exp)
+
+
+def _points(n_and_scale):
+    n, scale = n_and_scale
+    coords = _LOG_UNIFORM | st.floats(0.0, 1.0).map(lambda f: f * scale)
+    return st.lists(st.tuples(coords, coords), min_size=n, max_size=n)
+
+
+_POINT_LISTS = st.tuples(st.integers(0, 70), _LOG_UNIFORM).flatmap(_points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=_POINT_LISTS,
+       copies=st.lists(st.tuples(st.integers(0, 69), st.integers(0, 69)), max_size=10))
+def test_distance_matrices_match_scalar_floats(points, copies):
+    """Both matrices hold exactly the floats of the scalar formulas, also
+    for repeated points (`copies` makes point a equal to point b)."""
+    for a, b in copies:
+        if max(a, b) < len(points):
+            points[a] = points[b]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    n = len(points)
+    dist, sq = distance_matrix(xs, ys), squared_distance_matrix(xs, ys)
+    assert dist.shape == sq.shape == (n, n)
+    assert dist.tolist() == [[math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for j in range(n)]
+                             for i in range(n)]
+    assert sq.tolist() == [[(xs[i] - xs[j]) * (xs[i] - xs[j]) + (ys[i] - ys[j]) * (ys[i] - ys[j])
+                            for j in range(n)] for i in range(n)]
 
 
 def test_scaled_partition_is_similar():

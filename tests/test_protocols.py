@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from drsim.geometry import Point, RegionKind, build_partition, cr_neighbor_ncrs, locate
-from drsim.sim import SimConfig, deploy
+from drsim.protocols import LeachCPlanner, ProtocolKind
+from drsim.sim import SimConfig, deploy, make_state
 from reference import (
     LeachState,
     Node,
@@ -324,6 +325,22 @@ class TestLeachC:
             nd.energy = 0.0
         plan = leach_c_build_plan(nodes, 1, 0.05)
         assert not plan.memberships and not plan.ch_next_hop
+
+    # Co-located nodes: once each site has a CH, every remaining candidate
+    # ties with the chosen ones at total 0, so a greedy step that does not
+    # exclude chosen candidates elects one twice.
+    @pytest.mark.parametrize("sites,count", [([(30.0, 30.0)], 40),
+                                             ([(30.0, 30.0), (70.0, 60.0)], 60)])
+    def test_co_located_nodes_give_distinct_chs(self, sites, count):
+        state = make_state(SimConfig(node_count=count, protocol=ProtocolKind.LEACH_C))
+        state.xs[:] = [sites[i % len(sites)][0] for i in range(count)]
+        state.ys[:] = [sites[i % len(sites)][1] for i in range(count)]
+        plan = LeachCPlanner(state).plan(1, list(range(count)))
+        assert len(set(plan.chs)) == len(plan.chs) == len(sites) + 1  # k = round(0.05 N)
+        expected = leach_c_build_plan(as_nodes(state.xs, state.ys, state.region,
+                                               state.energy, state.alive), 1, 0.05)
+        assert set(plan.chs) == expected.cluster_heads
+        assert dict(zip(plan.members, plan.dests)) == expected.memberships
 
     def test_rejects_invalid_probability(self, fp):
         nodes = deployed_nodes(fp, seed=17, count=5)
